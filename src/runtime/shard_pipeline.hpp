@@ -2,14 +2,13 @@
 //
 // This is the body a shard thread runs -- window grouping, per-query
 // incremental matchers, shedders, keep masks, event-time retained windows --
-// extracted from StreamEngine's shard loop into a self-contained object so
-// the engine can instantiate it at different granularities:
-//
-//  * classic / multi-producer mode: ONE pipeline per shard, fed ring blocks;
-//  * rebalance mode: one pipeline per LOGICAL PARTITION, so a hot partition
-//    can migrate between shard threads with its whole pipeline state (the
-//    object is the unit of migration), and the output stays bit-identical
-//    to the per-partition serial golden no matter where it ran.
+// kept as a self-contained object so placement stays separate from the body.
+// The engine runs one pipeline per LOGICAL PARTITION.  Without rebalancing
+// there are as many partitions as shards and shard s hosts partition s for
+// the whole run; with it, a hot partition migrates between shard threads
+// with its whole pipeline state (the object is the unit of migration), and
+// the output stays bit-identical to the per-partition serial golden no
+// matter where it ran.
 //
 // The pipeline is single-threaded by contract: exactly one thread calls its
 // methods at a time.  Cross-thread handoff (rebalance migration) must

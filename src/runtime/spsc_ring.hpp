@@ -76,7 +76,8 @@ class SpscRing {
   /// Equivalent to calling try_push(src[i]) until it fails.
   std::size_t try_push_bulk(const T* src, std::size_t n) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    std::size_t free = capacity() - static_cast<std::size_t>(tail - head_cache_);
+    std::size_t free =
+        capacity() - static_cast<std::size_t>(tail - head_cache_);
     if (free < n) {
       head_cache_ = head_.load(std::memory_order_acquire);
       free = capacity() - static_cast<std::size_t>(tail - head_cache_);
@@ -85,7 +86,8 @@ class SpscRing {
     const std::size_t count = std::min(n, free);
     const std::size_t start = static_cast<std::size_t>(tail) & mask_;
     const std::size_t first = std::min(count, capacity() - start);
-    std::copy_n(src, first, slots_.begin() + static_cast<std::ptrdiff_t>(start));
+    std::copy_n(src, first,
+                slots_.begin() + static_cast<std::ptrdiff_t>(start));
     std::copy_n(src + first, count - first, slots_.begin());
     tail_.store(tail + count, std::memory_order_release);
     return count;

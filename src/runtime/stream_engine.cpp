@@ -7,6 +7,7 @@
 #include <span>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "durability/serial.hpp"
@@ -27,6 +28,56 @@ constexpr std::size_t kShardBlock = 256;
 /// checkpoint_target sentinel: no cut armed.
 constexpr std::uint64_t kNoCheckpoint = ~std::uint64_t{0};
 
+/// h % n, with the modulo replaced by a mask when n is a power of two -- an
+/// identical mapping (h % n == h & (n-1) for such n), so goldens agree.
+std::size_t bucket(std::uint64_t h, std::size_t n) {
+  return static_cast<std::size_t>((n & (n - 1)) == 0 ? (h & (n - 1))
+                                                     : (h % n));
+}
+
+/// The canonical merge: `n` per-unit lists (`list(u)`, each in local order)
+/// to one list ordered by (key_of(item), unit, in-unit index), which no
+/// thread interleaving can perturb.  Moves the items out.
+template <typename ListOf, typename KeyOf>
+auto canonical_merge(std::size_t n, ListOf list, KeyOf key_of) {
+  using List = std::remove_reference_t<decltype(list(0))>;
+  struct Tagged {
+    std::uint64_t key;
+    std::size_t unit;
+    std::size_t index;
+  };
+  std::size_t total = 0;
+  for (std::size_t u = 0; u < n; ++u) total += list(u).size();
+  std::vector<Tagged> order;
+  order.reserve(total);
+  for (std::size_t u = 0; u < n; ++u) {
+    const List& items = list(u);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      order.push_back(Tagged{key_of(items[i]), u, i});
+    }
+  }
+  std::sort(order.begin(), order.end(), [](const Tagged& a, const Tagged& b) {
+    return std::tie(a.key, a.unit, a.index) < std::tie(b.key, b.unit, b.index);
+  });
+  List merged;
+  merged.reserve(order.size());
+  for (const Tagged& t : order) {
+    merged.push_back(std::move(list(t.unit)[t.index]));
+  }
+  return merged;
+}
+
+/// The message of a captured shard exception.
+std::string error_text(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "non-standard exception";
+  }
+}
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -38,22 +89,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 /// are what return the core to whoever produces that work.
 constexpr std::uint64_t kShardIdleSleepUs = 200;
 
-/// One depth/peak sample per drained block plus a busy-time stamp around its
-/// processing -- shared by all three deterministic runner loops.
-struct OccupancyMeter {
-  ShardStats& stats;
-  std::chrono::steady_clock::time_point t0{};
-  void sample_depth(std::size_t depth) {
-    stats.peak_queue_depth = std::max(stats.peak_queue_depth, depth);
-    stats.depth_sum += depth;
-    ++stats.depth_samples;
-    t0 = std::chrono::steady_clock::now();
-  }
-  void block_done() { stats.busy_seconds += seconds_since(t0); }
-};
-
-/// Mode-exclusion rules for multi-producer ingestion and rebalancing
-/// (shared by the constructor's fail-fast checks and validate()).
+/// Mode-exclusion rules for multi-producer ingestion and rebalancing.
 void validate_modes(const StreamEngineConfig& c) {
   if (c.producers > 0) {
     ESPICE_REQUIRE(!c.adaptive.has_value(),
@@ -84,34 +120,36 @@ void validate_modes(const StreamEngineConfig& c) {
     ESPICE_REQUIRE(!c.durability.has_value(),
                    "rebalancing excludes durability (per-shard checkpoint "
                    "cuts assume a fixed placement)");
-    ESPICE_REQUIRE(c.latency_sample_every == 0,
-                   "latency marks do not follow migrating partitions");
     ESPICE_REQUIRE(c.rebalance->hot_factor >= 1.0,
                    "rebalance.hot_factor below 1 would thrash");
   }
 }
 
+/// The query-independent config rules: the constructor's fail-fast checks
+/// and the first half of validate().
+void validate_engine(const StreamEngineConfig& c) {
+  ESPICE_REQUIRE(c.shards > 0, "engine needs at least one shard");
+  ESPICE_REQUIRE(c.ring_capacity > 0, "ring capacity must be positive");
+  validate_modes(c);
+  if (c.durability.has_value()) {
+    ESPICE_REQUIRE(!c.adaptive.has_value(),
+                   "durability requires deterministic mode (adaptive results "
+                   "depend on the wall clock and are not replayable)");
+    ESPICE_REQUIRE(!c.durability->dir.empty(), "durability.dir must be set");
+  }
+  if (c.event_time.has_value()) {
+    ESPICE_REQUIRE(!c.adaptive.has_value(),
+                   "event time requires deterministic mode");
+    c.event_time->validate();
+  }
+  if (c.adaptive.has_value()) c.adaptive->validate();
+}
+
 }  // namespace
 
 void StreamEngineConfig::validate() const {
-  ESPICE_REQUIRE(shards > 0, "engine needs at least one shard");
-  ESPICE_REQUIRE(ring_capacity > 0, "ring capacity must be positive");
-  validate_modes(*this);
-  if (durability.has_value()) {
-    ESPICE_REQUIRE(!adaptive.has_value(),
-                   "durability requires deterministic mode (adaptive results "
-                   "depend on the wall clock and are not replayable)");
-    ESPICE_REQUIRE(!durability->dir.empty(), "durability.dir must be set");
-  }
-  if (event_time.has_value()) {
-    ESPICE_REQUIRE(!adaptive.has_value(),
-                   "event time requires deterministic mode");
-    event_time->validate();
-  }
-  if (adaptive.has_value()) {
-    adaptive->validate();
-    return;
-  }
+  validate_engine(*this);
+  if (adaptive.has_value()) return;
   query.pattern.validate();
   query.window.validate();
   if (shedder_factory != nullptr) {
@@ -130,32 +168,52 @@ struct LatencyMark {
   std::chrono::steady_clock::time_point t0;
 };
 
-struct StreamEngine::Shard {
+/// What one merge unit hands finish(): a partition pipeline's outputs in
+/// deterministic mode, a whole shard's in adaptive mode.
+struct StreamEngine::MergeUnit {
+  explicit MergeUnit(std::size_t num_queries)
+      : query_matches(num_queries),
+        query_counters(num_queries),
+        query_revisions(num_queries) {}
+
+  /// Per query, the unit's matches in local detection order.
+  std::vector<std::vector<ComplexEvent>> query_matches;
+  std::vector<DetPipeline::QueryOutcome> query_counters;
+  /// Event-time kRevise: per query, window re-emissions in local order.
+  std::vector<std::vector<RevisionRecord>> query_revisions;
+  /// Event-time kSideOutput: late captures in local arrival order.
+  std::vector<SideOutputRecord> side_outputs;
+};
+
+struct StreamEngine::Shard : MergeUnit {
   /// Capacity of the latency-mark side ring.  Small on purpose: marks are
   /// best-effort samples (the router drops one when the ring is full, it
   /// never blocks), so a lagging shard costs coverage, not throughput.
   static constexpr std::size_t kMarkRingCapacity = 256;
 
   Shard(std::size_t index_, std::size_t ring_capacity, std::size_t num_queries)
-      : ring(ring_capacity), marks(kMarkRingCapacity) {
+      : MergeUnit(num_queries), ring(ring_capacity), marks(kMarkRingCapacity) {
     stats.shard = index_;
-    query_matches.resize(num_queries);
-    query_counters.resize(num_queries);
-    query_revisions.resize(num_queries);
   }
 
   /// Router side: account `n` ring enqueues and emit a latency mark when
-  /// the sampling threshold is crossed.  Punctuation enqueues pass
-  /// data=false -- they advance `routed` (so mark counts stay aligned with
-  /// the shard's consumed counter, which counts them too) but never carry
-  /// a mark.  Callers gate on latency_sample_every != 0, keeping the
-  /// disabled hot path free of this entirely.
+  /// the sampling threshold is crossed.  Punctuation and migration-marker
+  /// enqueues pass data=false -- they advance `routed` (so mark counts stay
+  /// aligned with the shard's consumed counter, which counts them too) but
+  /// never carry a mark.  Callers gate on latency_sample_every != 0,
+  /// keeping the disabled hot path free of this entirely.
   void note_enqueued(std::size_t n, bool data, std::size_t sample_every) {
     routed += n;
     if (data && routed >= next_mark) {
       marks.try_push(LatencyMark{routed, std::chrono::steady_clock::now()});
       next_mark = routed + sample_every;
     }
+  }
+
+  /// Producer `producer`'s input into this shard: its lane in
+  /// multi-producer mode, else the ring.
+  SpscRing<Event>& input(std::size_t producer) {
+    return lanes != nullptr ? lanes->lane(producer) : ring;
   }
 
   /// Shard side: record every mark whose event is inside a released block.
@@ -170,39 +228,19 @@ struct StreamEngine::Shard {
     }
   }
 
-  /// Per-query outcome counters of this shard (summed into QueryReport).
-  struct QueryCounters {
-    std::uint64_t memberships = 0;       ///< offered pairs in its group
-    std::uint64_t memberships_kept = 0;  ///< pairs this query kept
-    std::uint64_t shed_decisions = 0;
-    std::uint64_t shed_drops = 0;
-  };
-
   SpscRing<Event> ring;
   /// Multi-producer mode only: P producer-private lanes replacing `ring`
   /// as the shard's input (merged deterministically on seq).
   std::unique_ptr<SpscLaneSet<Event>> lanes;
   std::thread thread;
-  /// Classic / multi-producer mode: the shard's single pipeline (built on
-  /// the shard thread, read by finish() after the join).
-  std::unique_ptr<DetPipeline> pipeline;
-  /// Rebalance mode: resident partition pipelines, indexed by partition
-  /// (null when the partition lives elsewhere).  A migration moves the
-  /// unique_ptr between shards through the engine's mailbox.
+  /// Deterministic mode: resident partition pipelines, indexed by partition
+  /// (null when the partition lives elsewhere).  Without rebalancing shard s
+  /// hosts exactly partition s; a migration moves the unique_ptr between
+  /// shards through the engine's mailbox.
   std::vector<std::unique_ptr<DetPipeline>> parts;
-  /// Per-query shedders, built by the factories on the router thread at
-  /// start() (the documented factory contract); each is then owned and
-  /// driven by this shard's thread only.
-  std::vector<std::unique_ptr<Shedder>> shedders;
-  /// Per query, this shard's matches in shard-local detection order.
-  std::vector<std::vector<ComplexEvent>> query_matches;
-  std::vector<QueryCounters> query_counters;
-  /// Event-time kRevise: per query, this shard's window re-emissions in
-  /// shard-local detection order.
-  std::vector<std::vector<RevisionRecord>> query_revisions;
-  /// Event-time kSideOutput: late captures in shard-local arrival order.
-  std::vector<SideOutputRecord> side_outputs;
-  ShardStats stats;
+  /// Written per block by the shard thread: kept off the cache line of the
+  /// fields above, which the router reads on every enqueue pass.
+  alignas(64) ShardStats stats;
   std::exception_ptr error;
 
   // --- latency sampling (router produces, shard consumes) ----------------
@@ -217,9 +255,17 @@ struct StreamEngine::Shard {
   /// The router arms this with the exact number of events the shard must
   /// have consumed at the cut; the shard drains up to it (never past),
   /// serializes its pipeline into `checkpoint_blob`, publishes via
-  /// `checkpoint_ready` and holds until the router clears the target.
+  /// `checkpoint_ready` and holds until the router clears the flag again
+  /// (release_cut()).  Holding on the flag, not on the target value, keeps
+  /// a re-armed identical target (no events routed in between) from
+  /// trapping the shard in its previous hold.
   std::atomic<std::uint64_t> checkpoint_target{kNoCheckpoint};
   std::atomic<bool> checkpoint_ready{false};
+  /// Router side: disarm the cut and release a shard holding at it.
+  void release_cut() {
+    checkpoint_target.store(kNoCheckpoint, std::memory_order_release);
+    checkpoint_ready.store(false, std::memory_order_release);
+  }
   std::vector<std::byte> checkpoint_blob;
   /// Set (release) by a shard entering its failure drain, so the router's
   /// checkpoint wait bails out instead of deadlocking on a dead pipeline.
@@ -243,15 +289,13 @@ std::size_t StreamEngine::shard_index(std::uint64_t key, std::size_t shards) {
   return static_cast<std::size_t>(partition_hash(key) % shards);
 }
 
+std::uint64_t StreamEngine::key_hash(const Event& e) const {
+  return partition_hash(config_.key_of ? config_.key_of(e)
+                                       : static_cast<std::uint64_t>(e.type));
+}
+
 std::size_t StreamEngine::shard_of(const Event& e) const {
-  const std::uint64_t key =
-      config_.key_of ? config_.key_of(e) : static_cast<std::uint64_t>(e.type);
-  // Same mapping as shard_index(), with the modulo replaced by a mask when
-  // the shard count is a power of two (h % K == h & (K-1) for such K).
-  const std::uint64_t h = partition_hash(key);
-  const std::size_t k = config_.shards;
-  return static_cast<std::size_t>((k & (k - 1)) == 0 ? (h & (k - 1))
-                                                     : (h % k));
+  return bucket(key_hash(e), config_.shards);
 }
 
 StreamEngine::StreamEngine(StreamEngineConfig config)
@@ -259,22 +303,7 @@ StreamEngine::StreamEngine(StreamEngineConfig config)
   // Only the common fields are checked here: the query set is not final
   // until start() (add_query() may still register more), where the full
   // validation runs.
-  ESPICE_REQUIRE(config_.shards > 0, "engine needs at least one shard");
-  ESPICE_REQUIRE(config_.ring_capacity > 0, "ring capacity must be positive");
-  validate_modes(config_);
-  if (config_.durability.has_value()) {
-    ESPICE_REQUIRE(!config_.adaptive.has_value(),
-                   "durability requires deterministic mode (adaptive results "
-                   "depend on the wall clock and are not replayable)");
-    ESPICE_REQUIRE(!config_.durability->dir.empty(),
-                   "durability.dir must be set");
-  }
-  if (config_.event_time.has_value()) {
-    ESPICE_REQUIRE(!config_.adaptive.has_value(),
-                   "event time requires deterministic mode");
-    config_.event_time->validate();
-  }
-  if (config_.adaptive.has_value()) config_.adaptive->validate();
+  validate_engine(config_);
 }
 
 std::size_t StreamEngine::add_query(EngineQuery q) {
@@ -334,13 +363,17 @@ void StreamEngine::start() {
   }
 
   const std::size_t num_queries = std::max<std::size_t>(queries_.size(), 1);
-  const bool rebalancing = config_.rebalance.has_value();
-  if (config_.shards > 1 || rebalancing) {
-    staging_.resize(config_.shards);
+  const std::size_t nparts = config_.rebalance.has_value()
+                                 ? config_.rebalance->partitions
+                                 : config_.shards;
+  // Producer 0 is the single router; multi-producer mode adds the rest.
+  staging_.resize(std::max<std::size_t>(config_.producers, 1));
+  for (Staging& st : staging_) {
+    st.per_shard.resize(config_.shards);
     // Seed each staging buffer's capacity so typical batches never allocate
     // on the routing path (buffers keep growing to the largest batch seen).
-    for (auto& buf : staging_) buf.reserve(kShardBlock);
-    staging_off_.assign(config_.shards, 0);
+    for (auto& buf : st.per_shard) buf.reserve(kShardBlock);
+    st.runs.reserve(config_.shards);
   }
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
@@ -350,36 +383,22 @@ void StreamEngine::start() {
       shards_.back()->lanes = std::make_unique<SpscLaneSet<Event>>(
           config_.producers, config_.ring_capacity);
     }
-    if (!config_.adaptive.has_value() && !rebalancing) {
-      auto& shedders = shards_.back()->shedders;
-      shedders.reserve(queries_.size());
-      for (const EngineQuery& q : queries_) {
-        shedders.push_back(q.shedder_factory ? q.shedder_factory(i) : nullptr);
-      }
-    }
   }
-  if (config_.producers > 0) {
-    mp_staging_.resize(config_.producers);
-    for (auto& per_shard : mp_staging_) {
-      per_shard.resize(config_.shards);
-      for (auto& buf : per_shard) buf.reserve(kShardBlock);
-    }
-    mp_off_.assign(config_.producers,
-                   std::vector<std::size_t>(config_.shards, 0));
-  }
-  if (rebalancing) {
-    const std::size_t nparts = config_.rebalance->partitions;
-    // Initial placement: round-robin, so every shard starts with an equal
-    // slice of the partition space.
-    placement_.resize(nparts);
-    for (std::size_t p = 0; p < nparts; ++p) placement_[p] = p % config_.shards;
+  // Initial placement: round-robin, so every shard starts with an equal
+  // slice of the partition space (the identity when L = K).
+  placement_.resize(nparts);
+  for (std::size_t p = 0; p < nparts; ++p) placement_[p] = p % config_.shards;
+  if (config_.rebalance.has_value()) {
     part_counts_.assign(nparts, 0);
     mailbox_ = std::make_unique<std::atomic<DetPipeline*>[]>(nparts);
     for (std::size_t p = 0; p < nparts; ++p) {
       mailbox_[p].store(nullptr, std::memory_order_relaxed);
     }
-    // Shedders are per PARTITION here (the factory's "shard" argument is
-    // the partition index): a partition's shedding state migrates with it.
+  }
+  if (!config_.adaptive.has_value()) {
+    // Shedders are per PARTITION (the factory's "shard" argument is the
+    // partition index, the shard index when L = K): a partition's shedding
+    // state migrates with it.
     part_shedders_.resize(nparts);
     for (std::size_t p = 0; p < nparts; ++p) {
       auto& shedders = part_shedders_[p];
@@ -388,6 +407,7 @@ void StreamEngine::start() {
         shedders.push_back(q.shedder_factory ? q.shedder_factory(p) : nullptr);
       }
     }
+    part_out_.assign(nparts, MergeUnit(num_queries));
     for (auto& s : shards_) s->parts.resize(nparts);
   }
   start_ = std::chrono::steady_clock::now();
@@ -396,29 +416,15 @@ void StreamEngine::start() {
       Shard* s = shard.get();
       if (config_.adaptive.has_value()) {
         s->thread = std::thread([this, s] { run_adaptive_shard(*s); });
-      } else if (config_.producers > 0) {
-        s->thread = std::thread([this, s] { run_merged_shard(*s); });
-      } else if (rebalancing) {
-        s->thread = std::thread([this, s] { run_partitioned_shard(*s); });
       } else {
-        s->thread = std::thread([this, s] { run_deterministic_shard(*s); });
+        s->thread = std::thread([this, s] { run_shard(*s); });
       }
     }
   } catch (...) {
     // Thread spawn failed mid-loop: release the shards already running
-    // (close their rings, join) before rethrowing -- destroying a joinable
-    // std::thread would terminate the process.
-    for (auto& s : shards_) {
-      s->ring.close();
-      if (s->lanes != nullptr) {
-        for (std::size_t p = 0; p < s->lanes->lane_count(); ++p) {
-          s->lanes->close_lane(p);
-        }
-      }
-    }
-    for (auto& s : shards_) {
-      if (s->thread.joinable()) s->thread.join();
-    }
+    // before rethrowing -- destroying a joinable std::thread would
+    // terminate the process.
+    teardown();
     throw;
   }
 }
@@ -430,12 +436,13 @@ StreamEngine::~StreamEngine() {
 void StreamEngine::teardown() noexcept {
   // Release any armed checkpoint cut first: a shard holding a cut waits for
   // the router to clear its target and would never observe the ring close.
-  for (auto& s : shards_) {
-    s->checkpoint_target.store(kNoCheckpoint, std::memory_order_release);
-  }
+  for (auto& s : shards_) s->release_cut();
   for (auto& s : shards_) {
     s->ring.close();
     if (s->lanes != nullptr) {
+      // Close every lane a producer left open (close_lane is idempotent).
+      // The caller's contract: every producer has RETURNED from its last
+      // push_batch_concurrent() by now.
       for (std::size_t p = 0; p < s->lanes->lane_count(); ++p) {
         s->lanes->close_lane(p);
       }
@@ -445,7 +452,8 @@ void StreamEngine::teardown() noexcept {
     if (s->thread.joinable()) s->thread.join();
   }
   // An aborted migration can leave a pipeline parked in the mailbox (the
-  // exporter handed it off, the importer died or never ran): reclaim it.
+  // exporter handed it off, the importer died or never ran -- the success
+  // path always drains both markers before the rings close): reclaim it.
   if (mailbox_ != nullptr) {
     for (std::size_t p = 0; p < placement_.size(); ++p) {
       delete mailbox_[p].exchange(nullptr, std::memory_order_acquire);
@@ -475,15 +483,7 @@ EngineHealth StreamEngine::health() const {
     sh.last_progress = s->progress.load(std::memory_order_relaxed);
     if (sh.failed) {
       h.state = EngineState::kFailed;  // even if the router has not noticed
-      if (s->error != nullptr) {
-        try {
-          std::rethrow_exception(s->error);
-        } catch (const std::exception& e) {
-          sh.error = e.what();
-        } catch (...) {
-          sh.error = "non-standard exception";
-        }
-      }
+      if (s->error != nullptr) sh.error = error_text(s->error);
     }
     h.shards.push_back(std::move(sh));
   }
@@ -504,16 +504,9 @@ void StreamEngine::ensure_accepting(const char* op) {
 
 void StreamEngine::fail_for_shard(Shard& s) {
   state_ = EngineState::kFailed;
-  std::string what = "unknown error";
-  if (s.error != nullptr) {  // published before failed (release/acquire)
-    try {
-      std::rethrow_exception(s.error);
-    } catch (const std::exception& e) {
-      what = e.what();
-    } catch (...) {
-      what = "non-standard exception";
-    }
-  }
+  // The error is published before `failed` (release/acquire).
+  const std::string what =
+      s.error != nullptr ? error_text(s.error) : "unknown error";
   last_error_ = "shard " + std::to_string(s.stats.shard) +
                 " failed after consuming " +
                 std::to_string(s.progress.load(std::memory_order_relaxed)) +
@@ -544,33 +537,13 @@ void StreamEngine::push(const Event& e) {
     }
     return;
   }
-  std::size_t si;
-  if (!placement_.empty()) {
-    const std::size_t p = partition_of(e);
+  const std::size_t p = bucket(key_hash(e), placement_.size());
+  if (config_.rebalance.has_value()) {
     ++part_counts_[p];
     ++window_routed_;
-    si = placement_[p];
-  } else {
-    si = shard_of(e);
   }
-  Shard& s = *shards_[si];
-  if (!s.ring.try_push(e)) {
-    // Backpressure: the shard is the bottleneck; back the router off
-    // (yield, then bounded sleeps) until a slot frees up.  The counters
-    // are router-owned, so plain accumulation.  Every pass polls the
-    // shard's failure flag -- a dead consumer never frees slots, so a
-    // waiter that did not would hang the router forever.
-    BackoffWaiter waiter(s.stats.shard);
-    do {
-      if (s.failed.load(std::memory_order_acquire)) fail_for_shard(s);
-      waiter.wait();
-    } while (!s.ring.try_push(e));
-    s.stats.router_backpressure_waits += waiter.waits();
-    s.stats.router_stall_seconds += waiter.stall_seconds();
-  }
-  if (config_.latency_sample_every != 0) {
-    s.note_enqueued(1, /*data=*/true, config_.latency_sample_every);
-  }
+  const std::size_t si = placement_[p];
+  enqueue_to(si, &e, 1, /*data=*/true);
   ++pushed_;
   if (config_.event_time.has_value()) {
     if (!router_max_valid_ || e.seq > router_max_seq_) {
@@ -586,7 +559,7 @@ void StreamEngine::push(const Event& e) {
       maybe_auto_checkpoint();
     }
   }
-  if (!placement_.empty() &&
+  if (config_.rebalance.has_value() &&
       window_routed_ >= config_.rebalance->interval_events) {
     decide_moves();
   }
@@ -597,21 +570,12 @@ void StreamEngine::route_punctuation(const Event& p) {
   // Broadcast: every shard's substream carries the watermark at this
   // point of its arrival order (the rings are FIFO, so it orders after
   // everything routed before it and ahead of everything after).
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    Shard& s = *shards_[i];
-    if (!s.ring.try_push(p)) {
-      BackoffWaiter waiter(s.stats.shard);
-      do {
-        if (s.failed.load(std::memory_order_acquire)) fail_for_shard(s);
-        waiter.wait();
-      } while (!s.ring.try_push(p));
-      s.stats.router_backpressure_waits += waiter.waits();
-      s.stats.router_stall_seconds += waiter.stall_seconds();
-    }
-    if (config_.latency_sample_every != 0) {
-      s.note_enqueued(1, /*data=*/false, config_.latency_sample_every);
-    }
-    if (log_ != nullptr) ++pushed_per_shard_[i];
+  std::vector<Run>& runs = staging_[0].runs;
+  runs.clear();
+  for (auto& s : shards_) runs.push_back(Run{s.get(), &p, 1});
+  enqueue(0, /*data=*/false);
+  if (log_ != nullptr) {
+    for (auto& n : pushed_per_shard_) ++n;
   }
   ++pushed_;
   ++punct_pushed_;
@@ -640,174 +604,149 @@ void StreamEngine::maybe_heartbeat() {
   }
 }
 
-void StreamEngine::bulk_push_shard(Shard& s, const Event* data, std::size_t n) {
-  const std::size_t total = n;
-  BackoffWaiter waiter(s.stats.shard);
-  while (n > 0) {
-    const std::size_t pushed = s.ring.try_push_bulk(data, n);
-    if (pushed == 0) {
-      if (s.failed.load(std::memory_order_acquire)) fail_for_shard(s);
-      waiter.wait();
+void StreamEngine::enqueue(std::size_t producer, bool data) {
+  // The router's one backpressure loop.  Round-robin: push what fits into
+  // each pending input, rotate, repeat -- draining one full input to
+  // completion before touching the next would, on an undersubscribed box,
+  // park the router in a sleep against shard s while shards s+1..K-1 sit
+  // EMPTY and idle.  For a producer it is also a liveness requirement:
+  // shard A's merge can stall on this producer's empty lane-A floor while
+  // the producer sits blocked on shard B's full lane.  So the loop only
+  // waits when every pending input is full.
+  std::vector<Run>& runs = staging_[producer].runs;
+  const std::size_t every = config_.latency_sample_every;
+  std::size_t pending = runs.size();  // callers pass nonempty runs
+  Shard* stalled = nullptr;
+  BackoffWaiter waiter(producer);
+  while (pending > 0) {
+    bool progress = false;
+    for (Run& r : runs) {
+      if (r.n == 0) continue;
+      const std::size_t k =
+          r.shard->input(producer).try_push_bulk(r.data, r.n);
+      if (k == 0) {
+        stalled = r.shard;
+        continue;
+      }
+      progress = true;
+      r.data += k;
+      r.n -= k;
+      if (every != 0) r.shard->note_enqueued(k, data, every);
+      if (r.n == 0) --pending;
+    }
+    if (pending == 0) break;
+    if (progress) {
+      waiter.reset();
       continue;
     }
-    waiter.reset();
-    data += pushed;
-    n -= pushed;
+    // Every pending input is full: poll for dead shards (a dead consumer
+    // never frees slots, so a waiter that did not would hang forever),
+    // then back off.
+    if (any_shard_failed_.load(std::memory_order_acquire)) {
+      // fail_for_shard() mutates router-owned state and is not safe from
+      // P producer threads; a typed error is (health() has the detail).
+      if (config_.producers > 0) {
+        throw Error(ErrorCode::kShardFailed,
+                    "push_batch_concurrent() stalled on a failed shard");
+      }
+      ensure_accepting("enqueue");
+    }
+    waiter.wait();
   }
-  if (waiter.waits() > 0) {
-    s.stats.router_backpressure_waits += waiter.waits();
-    s.stats.router_stall_seconds += waiter.stall_seconds();
-  }
-  // One mark per crossed threshold at most: the mark tags the bulk's LAST
-  // event, which is what the shard's consumed counter passes.
-  if (config_.latency_sample_every != 0) {
-    s.note_enqueued(total, /*data=*/true, config_.latency_sample_every);
+  // The stall counters are router-owned (concurrent producers would race
+  // on them).  With every pending input full, any of them is the
+  // bottleneck; the stall goes to the last one seen full.
+  if (waiter.waits() > 0 && config_.producers == 0) {
+    stalled->stats.router_backpressure_waits += waiter.waits();
+    stalled->stats.router_stall_seconds += waiter.stall_seconds();
   }
 }
 
-void StreamEngine::flush_staged() {
-  // Round-robin flush of the staging buffers: push what fits into each
-  // pending ring, rotate, repeat.  The old shard-by-shard loop drained one
-  // full ring to completion before touching the next -- on an
-  // undersubscribed box that parks the router in a backpressure sleep
-  // against shard s while shards s+1..K-1 sit EMPTY and idle, serializing
-  // the whole engine on one ring.  Here the router only waits when every
-  // pending ring is full.
-  std::size_t pending = 0;
-  for (std::size_t s = 0; s < staging_.size(); ++s) {
-    staging_off_[s] = 0;
-    if (!staging_[s].empty()) ++pending;
-  }
-  if (pending == 0) return;
-  Shard* bottleneck = nullptr;
-  BackoffWaiter waiter;
-  while (pending > 0) {
-    bool progress = false;
-    for (std::size_t s = 0; s < staging_.size(); ++s) {
-      const std::size_t size = staging_[s].size();
-      std::size_t& off = staging_off_[s];
-      if (off >= size) continue;
-      Shard& sh = *shards_[s];
-      const std::size_t n =
-          sh.ring.try_push_bulk(staging_[s].data() + off, size - off);
-      if (n == 0) continue;
-      progress = true;
-      off += n;
-      if (config_.latency_sample_every != 0) {
-        sh.note_enqueued(n, /*data=*/true, config_.latency_sample_every);
-      }
-      if (off >= size) --pending;
+void StreamEngine::enqueue_to(std::size_t shard, const Event* data,
+                              std::size_t n, bool is_data) {
+  staging_[0].runs.assign(1, Run{shards_[shard].get(), data, n});
+  enqueue(0, is_data);
+}
+
+void StreamEngine::stage(std::span<const Event> events, Staging& st) {
+  for (auto& buf : st.per_shard) buf.clear();
+  const std::size_t nparts = placement_.size();
+  // The routing loop: key -> partition -> hosting shard.  Instantiated per
+  // key source and placement, so neither the key_of null check nor the
+  // rebalancing bookkeeping sits in the per-event path.
+  auto route = [&](const auto& key_of, const auto& host) {
+    for (const Event& e : events) {
+      st.per_shard[host(bucket(partition_hash(key_of(e)), nparts))]
+          .push_back(e);
     }
-    if (pending == 0) break;
-    if (!progress) {
-      // Every pending ring is full: poll for dead shards (a dead consumer
-      // never frees slots), then back off.  The stall is attributed to one
-      // still-full shard -- with all pending rings full, any of them is
-      // the bottleneck.
-      for (std::size_t s = 0; s < staging_.size(); ++s) {
-        if (staging_off_[s] >= staging_[s].size()) continue;
-        Shard& sh = *shards_[s];
-        if (sh.failed.load(std::memory_order_acquire)) fail_for_shard(sh);
-        bottleneck = &sh;
-      }
-      waiter.wait();
+  };
+  auto route_keys = [&](const auto& host) {
+    if (config_.key_of) {
+      route(config_.key_of, host);
     } else {
-      waiter.reset();
+      route([](const Event& e) { return static_cast<std::uint64_t>(e.type); },
+            host);
     }
+  };
+  if (config_.rebalance.has_value()) {
+    route_keys([this](std::size_t p) {
+      ++part_counts_[p];
+      return placement_[p];
+    });
+  } else {
+    route_keys([](std::size_t p) { return p; });  // fixed: partition = shard
   }
-  if (waiter.waits() > 0 && bottleneck != nullptr) {
-    bottleneck->stats.router_backpressure_waits += waiter.waits();
-    bottleneck->stats.router_stall_seconds += waiter.stall_seconds();
+}
+
+void StreamEngine::flush_staged(std::size_t producer) {
+  Staging& st = staging_[producer];
+  st.runs.clear();
+  for (std::size_t s = 0; s < st.per_shard.size(); ++s) {
+    const auto& buf = st.per_shard[s];
+    if (!buf.empty()) st.runs.push_back(Run{shards_[s].get(), buf.data(),
+                                            buf.size()});
   }
+  enqueue(producer, /*data=*/true);
 }
 
 void StreamEngine::push_data_segment(std::span<const Event> events) {
-  if (events.empty()) return;
-  if (config_.shards == 1 && placement_.empty()) {
-    // Single shard: everything routes to shard 0 -- no hashing, no staging
-    // copy, bulk enqueue straight from the caller's span.
-    bulk_push_shard(*shards_[0], events.data(), events.size());
-    if (log_ != nullptr) pushed_per_shard_[0] += events.size();
-  } else if (!placement_.empty()) {
-    // Rebalance routing must interleave with the decision cadence even
-    // inside one large batch: route in chunks that stop exactly at the
-    // interval boundary, flush, then let decide_moves() emit its migration
-    // markers.  Flushing BEFORE deciding is load-bearing -- markers go
-    // straight into the rings, so any event still staged under the old
-    // placement would otherwise arrive at its old shard behind the export
-    // marker, after the pipeline left.
-    const std::uint64_t interval = config_.rebalance->interval_events;
-    const std::size_t nparts = placement_.size();
-    std::size_t i = 0;
-    while (i < events.size()) {
+  const bool rebalancing = config_.rebalance.has_value();
+  std::size_t i = 0;
+  while (i < events.size()) {
+    std::size_t take = events.size() - i;
+    if (rebalancing) {
+      // Rebalance routing must interleave with the decision cadence even
+      // inside one large batch: route in chunks that stop exactly at the
+      // interval boundary, flush, then let decide_moves() emit its
+      // migration markers.  Flushing BEFORE deciding is load-bearing --
+      // any event still staged under the old placement would otherwise
+      // arrive at its old shard behind the export marker, after the
+      // pipeline left.
+      const std::uint64_t interval = config_.rebalance->interval_events;
       const std::uint64_t room =
           interval > window_routed_ ? interval - window_routed_ : 1;
-      const std::size_t take = static_cast<std::size_t>(
-          std::min<std::uint64_t>(events.size() - i, room));
-      const std::span<const Event> chunk = events.subspan(i, take);
-      for (auto& buf : staging_) buf.clear();
-      if (config_.key_of) {
-        const auto& key_of = config_.key_of;
-        for (const Event& e : chunk) {
-          const auto p =
-              static_cast<std::size_t>(partition_hash(key_of(e)) % nparts);
-          ++part_counts_[p];
-          staging_[placement_[p]].push_back(e);
-        }
-      } else {
-        for (const Event& e : chunk) {
-          const auto p =
-              static_cast<std::size_t>(partition_hash(e.type) % nparts);
-          ++part_counts_[p];
-          staging_[placement_[p]].push_back(e);
-        }
-      }
-      window_routed_ += take;
-      flush_staged();
+      take = static_cast<std::size_t>(std::min<std::uint64_t>(take, room));
+    }
+    const std::span<const Event> chunk = events.subspan(i, take);
+    if (placement_.size() == 1) {
+      // Single partition: everything routes to shard 0 -- no hashing, no
+      // staging copy, bulk enqueue straight from the caller's span.
+      enqueue_to(0, chunk.data(), chunk.size(), /*data=*/true);
+      if (log_ != nullptr) pushed_per_shard_[0] += chunk.size();
+    } else {
+      stage(chunk, staging_[0]);
+      flush_staged(0);
       if (log_ != nullptr) {
-        for (std::size_t s = 0; s < staging_.size(); ++s) {
-          pushed_per_shard_[s] += staging_[s].size();
-        }
-      }
-      i += take;
-      if (window_routed_ >= interval) decide_moves();
-    }
-  } else {
-    for (auto& buf : staging_) buf.clear();
-    {
-      // Routing hot loop.  The key_of null check is hoisted out of the
-      // per-event loop, and a power-of-two shard count replaces the modulo
-      // with a mask -- an IDENTICAL mapping (hash % K == hash & (K-1) for
-      // K a power of two), so goldens are unaffected.
-      const std::size_t k = config_.shards;
-      const std::uint64_t mask = k - 1;
-      if (config_.key_of) {
-        const auto& key_of = config_.key_of;
-        if ((k & (k - 1)) == 0) {
-          for (const Event& e : events) {
-            staging_[partition_hash(key_of(e)) & mask].push_back(e);
-          }
-        } else {
-          for (const Event& e : events) {
-            staging_[partition_hash(key_of(e)) % k].push_back(e);
-          }
-        }
-      } else {
-        if ((k & (k - 1)) == 0) {
-          for (const Event& e : events) {
-            staging_[partition_hash(e.type) & mask].push_back(e);
-          }
-        } else {
-          for (const Event& e : events) {
-            staging_[partition_hash(e.type) % k].push_back(e);
-          }
+        for (std::size_t s = 0; s < shards_.size(); ++s) {
+          pushed_per_shard_[s] += staging_[0].per_shard[s].size();
         }
       }
     }
-    flush_staged();
-    if (log_ != nullptr) {
-      for (std::size_t s = 0; s < staging_.size(); ++s) {
-        pushed_per_shard_[s] += staging_[s].size();
+    i += take;
+    if (rebalancing) {
+      window_routed_ += take;
+      if (window_routed_ >= config_.rebalance->interval_events) {
+        decide_moves();
       }
     }
   }
@@ -857,18 +796,28 @@ void StreamEngine::push_batch(std::span<const Event> events) {
   maybe_heartbeat();
 }
 
-void StreamEngine::run_deterministic_shard(Shard& shard) {
+void StreamEngine::run_shard(Shard& shard) {
   try {
     const std::size_t nq = queries_.size();
+    const std::size_t me = shard.stats.shard;
+    const std::size_t nparts = shard.parts.size();
+    const bool rebalancing = config_.rebalance.has_value();
     // The whole window/matcher/shedder body lives in DetPipeline (see
-    // runtime/shard_pipeline.hpp) -- this runner owns only what is tied to
-    // the SHARD rather than the pipeline: the ring drain, the event-time
-    // reorder stage, the checkpoint handshake and the latency marks.
-    shard.pipeline = std::make_unique<DetPipeline>(
-        std::span<const EngineQuery>(queries_.data(), queries_.size()),
-        std::move(shard.shedders),
-        config_.event_time.has_value() ? &*config_.event_time : nullptr);
-    DetPipeline& pipe = *shard.pipeline;
+    // runtime/shard_pipeline.hpp), one per logical partition -- this runner
+    // owns only what is tied to the SHARD: the input drain, the event-time
+    // reorder stage, the checkpoint handshake, the latency marks and the
+    // migration markers.  The initial placement is the fixed function
+    // p % K, recomputed here rather than read from placement_, which is
+    // router-owned and already mutating.
+    for (std::size_t p = me; p < nparts; p += config_.shards) {
+      shard.parts[p] = std::make_unique<DetPipeline>(
+          std::span<const EngineQuery>(queries_.data(), queries_.size()),
+          std::move(part_shedders_[p]),
+          config_.event_time.has_value() ? &*config_.event_time : nullptr);
+    }
+    // Without rebalancing the shard hosts exactly partition `me` for the
+    // whole run: whole blocks go straight to its pipeline.
+    DetPipeline* const home = rebalancing ? nullptr : shard.parts[me].get();
 
     // ---- event-time stage state -----------------------------------------
     const bool et_on = config_.event_time.has_value();
@@ -878,10 +827,11 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
     std::vector<Event> released;  // reused release buffer
 
     // ---- durability: pipeline snapshot/restore + checkpoint service -----
-    // `consumed` counts the ring items (data events and punctuations)
-    // this shard has drained over its whole lifetime (it resumes from the
-    // snapshot on recovery); the router cuts checkpoints at exact values
-    // of it.
+    // `consumed` counts the input items (data events, punctuations and
+    // migration markers) this shard has drained over its whole lifetime
+    // (it resumes from the snapshot on recovery); the router cuts
+    // checkpoints at exact values of it.  Durability excludes rebalancing,
+    // so a snapshot is always of the home pipeline.
     std::uint64_t consumed = 0;
 
     auto serialize_pipeline = [&](durability::SnapshotWriter& w) {
@@ -890,7 +840,7 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
       w.u64(shard.stats.memberships);
       w.u64(shard.stats.memberships_kept);
       w.u64(shard.stats.windows_closed);
-      pipe.serialize_core(w);
+      home->serialize_core(w);
       w.boolean(et_on);
       if (et_on) {
         reorder.serialize(w);
@@ -900,7 +850,7 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
         w.u64(shard.stats.late_side_output);
         w.u64(shard.stats.revisions);
         w.u64(shard.stats.reorder_peak_buffered);  // scalar, not a prefix
-        pipe.serialize_event_time(w);
+        home->serialize_event_time(w);
       }
     };
 
@@ -911,7 +861,7 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
       shard.stats.memberships = r.u64();
       shard.stats.memberships_kept = r.u64();
       shard.stats.windows_closed = r.u64();
-      pipe.restore_core(r);
+      home->restore_core(r);
       const bool had_et = r.boolean();
       ESPICE_CHECK(had_et == et_on, ErrorCode::kCorruptSnapshot,
                    "snapshot event-time mode does not match the engine's "
@@ -924,13 +874,12 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
         shard.stats.late_side_output = r.u64();
         shard.stats.revisions = r.u64();
         shard.stats.reorder_peak_buffered = static_cast<std::size_t>(r.u64());
-        pipe.restore_event_time(r);
+        home->restore_event_time(r);
       }
     };
 
-    if (shard.stats.shard < recovery_blobs_.size() &&
-        !recovery_blobs_[shard.stats.shard].empty()) {
-      durability::SnapshotReader r(recovery_blobs_[shard.stats.shard]);
+    if (me < recovery_blobs_.size() && !recovery_blobs_[me].empty()) {
+      durability::SnapshotReader r(recovery_blobs_[me]);
       restore_pipeline(r);
       r.expect_done();
     }
@@ -948,82 +897,157 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
       serialize_pipeline(w);
       shard.checkpoint_blob = w.take();
       shard.checkpoint_ready.store(true, std::memory_order_release);
-      while (shard.checkpoint_target.load(std::memory_order_acquire) ==
-             target) {
+      while (shard.checkpoint_ready.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
     };
 
+    // Event-time stage: punctuations and stragglers are consumed here; only
+    // watermark-released IN-ORDER runs reach the data path, so everything
+    // downstream is bit-identical to an in-order run of the released
+    // stream.
+    auto event_time_stage = [&](std::span<const Event> blk) {
+      for (const Event& e : blk) {
+        released.clear();
+        if (is_watermark(e)) {
+          ++shard.stats.punctuations;
+          reorder.punctuate(e.seq, released);
+          if (!released.empty()) {
+            home->process_data_block(released, shard.stats);
+          }
+          if (watermark_has_ts(e)) {
+            // Event-time close: time windows whose span ended at or before
+            // the watermark close NOW, without waiting for the next
+            // on-time arrival.
+            home->advance_time_watermark(e.ts, shard.stats);
+          }
+        } else if (reorder.accept(e, released) ==
+                   ReorderBuffer::Accept::kLate) {
+          home->handle_late(e, reorder.watermark_seq(), shard.stats);
+        } else if (!released.empty()) {
+          home->process_data_block(released, shard.stats);
+        }
+      }
+    };
+
+    // Rebalancing: split the block at migration markers; between them,
+    // run-length group consecutive same-partition events so a skewed
+    // stream (long same-key runs) still takes the block-wise pipeline path.
+    auto partitioned_stage = [&](std::span<const Event> blk) {
+      std::size_t i = 0;
+      while (i < blk.size()) {
+        const Event& head = blk[i];
+        if (is_partition_control(head)) {
+          const auto p = static_cast<std::size_t>(head.seq);
+          if (partition_control_action(head) == PartitionControl::kExport) {
+            // Hand off: park the pipeline (release publishes everything it
+            // processed) and keep going -- an exporter never waits.
+            mailbox_[p].store(shard.parts[p].release(),
+                              std::memory_order_release);
+          } else {
+            // Adopt: the matching export marker is already queued at the
+            // old owner (the router pushed it first), so spin until that
+            // shard parks the pipeline.  Bail out if any shard died -- a
+            // dead exporter would otherwise hang this import forever.
+            DetPipeline* adopted =
+                mailbox_[p].exchange(nullptr, std::memory_order_acquire);
+            while (adopted == nullptr) {
+              if (any_shard_failed_.load(std::memory_order_acquire)) {
+                throw Error(ErrorCode::kShardFailed,
+                            "partition import abandoned: a shard failed "
+                            "mid-migration");
+              }
+              std::this_thread::yield();
+              adopted =
+                  mailbox_[p].exchange(nullptr, std::memory_order_acquire);
+            }
+            shard.parts[p].reset(adopted);
+          }
+          ++i;
+          continue;
+        }
+        const std::size_t p = bucket(key_hash(head), nparts);
+        std::size_t j = i + 1;
+        while (j < blk.size() && !is_partition_control(blk[j]) &&
+               bucket(key_hash(blk[j]), nparts) == p) {
+          ++j;
+        }
+        shard.parts[p]->process_data_block(blk.subspan(i, j - i), shard.stats);
+        i = j;
+      }
+    };
+
     // Block drain: one zero-copy ring view per visit (events are processed
-    // in place; one release store commits the dequeue), then a block-wise
-    // pipeline pass.
-    OccupancyMeter meter{shard.stats};
-    BackoffWaiter idle(shard.stats.shard, kShardIdleSleepUs);
+    // in place; one release store commits the dequeue), or one block of the
+    // P-lane seq merge in multi-producer mode.
+    std::vector<Event> merged(shard.lanes != nullptr ? kShardBlock : 0);
+    BackoffWaiter idle(me, kShardIdleSleepUs);
     for (;;) {
       service_checkpoint();
-      std::span<const Event> blk = shard.ring.front_block(kShardBlock);
-      if (blk.empty()) {
-        if (!shard.ring.closed()) {
-          // Idle: escalate yield -> bounded sleep instead of spinning the
-          // core (reset on any progress).  Matters most when shards
-          // outnumber cores -- a spinning idle shard steals exactly the
-          // cycles the busy ones need.
+      std::span<const Event> blk;
+      std::size_t depth = 0;
+      if (shard.lanes == nullptr) {
+        blk = shard.ring.front_block(kShardBlock);
+        if (blk.empty()) {
+          if (!shard.ring.closed()) {
+            // Idle: escalate yield -> bounded sleep instead of spinning the
+            // core (reset on any progress).  Matters most when shards
+            // outnumber cores -- a spinning idle shard steals exactly the
+            // cycles the busy ones need.
+            idle.wait();
+            continue;
+          }
+          // Same never-miss ordering as pop_or_closed(): closed was
+          // observed (acquire) after an empty view, so one more look
+          // decides.
+          blk = shard.ring.front_block(kShardBlock);
+          if (blk.empty()) break;
+        }
+        // An armed checkpoint cuts at an exact event count: trim the block
+        // so the shard lands on the cut (the loop head serves it), never
+        // past.  (Multi-producer mode never arms one.)
+        const std::uint64_t target =
+            shard.checkpoint_target.load(std::memory_order_acquire);
+        if (target != kNoCheckpoint && target - consumed < blk.size()) {
+          blk = blk.first(static_cast<std::size_t>(target - consumed));
+        }
+        depth = shard.ring.size();  // the unreleased block still counts
+      } else {
+        std::size_t n = 0;
+        if (shard.lanes->merge_pop(merged.data(), kShardBlock, n) ==
+            SpscLaneSet<Event>::Merge::kDone) {
+          break;
+        }
+        if (n == 0) {
+          // kStall: some open lane's floor is the bound -- its producer has
+          // neither pushed nor advanced past the merge head yet.
           idle.wait();
           continue;
         }
-        // Same never-miss ordering as pop_or_closed(): closed was observed
-        // (acquire) after an empty view, so one more look decides.
-        blk = shard.ring.front_block(kShardBlock);
-        if (blk.empty()) break;
+        blk = std::span<const Event>(merged.data(), n);
+        // merge_pop consumed the block from the lanes already; count it
+        // back in, matching the ring's "unreleased block still queued".
+        depth = shard.lanes->size() + n;
       }
       idle.reset();
-      // An armed checkpoint cuts at an exact event count: trim the block so
-      // the shard lands on the cut (the loop head serves it), never past.
-      const std::uint64_t target =
-          shard.checkpoint_target.load(std::memory_order_acquire);
-      if (target != kNoCheckpoint && target - consumed < blk.size()) {
-        blk = blk.first(static_cast<std::size_t>(target - consumed));
-      }
       const std::size_t n = blk.size();
-      // Depth gauge, one sample per block (the unreleased block still
-      // counts as queued).
-      meter.sample_depth(shard.ring.size());
-      if (!et_on) {
-        pipe.process_data_block(blk, shard.stats);
+      // Occupancy: one depth/peak sample per block, busy time around it.
+      shard.stats.peak_queue_depth =
+          std::max(shard.stats.peak_queue_depth, depth);
+      shard.stats.depth_sum += depth;
+      ++shard.stats.depth_samples;
+      const auto t0 = std::chrono::steady_clock::now();
+      if (home == nullptr) {
+        partitioned_stage(blk);
+      } else if (et_on) {
+        event_time_stage(blk);
       } else {
-        // Event-time stage: punctuations and stragglers are consumed
-        // here; only watermark-released IN-ORDER runs reach the data
-        // path, so everything downstream is bit-identical to an
-        // in-order run of the released stream.
-        for (const Event& e : blk) {
-          if (is_watermark(e)) {
-            ++shard.stats.punctuations;
-            released.clear();
-            reorder.punctuate(e.seq, released);
-            if (!released.empty()) {
-              pipe.process_data_block(released, shard.stats);
-            }
-            if (watermark_has_ts(e)) {
-              // Event-time close: time windows whose span ended at or
-              // before the watermark close NOW, without waiting for the
-              // next on-time arrival.
-              pipe.advance_time_watermark(e.ts, shard.stats);
-            }
-          } else {
-            released.clear();
-            if (reorder.accept(e, released) ==
-                ReorderBuffer::Accept::kLate) {
-              pipe.handle_late(e, reorder.watermark_seq(), shard.stats);
-            } else if (!released.empty()) {
-              pipe.process_data_block(released, shard.stats);
-            }
-          }
-        }
+        home->process_data_block(blk, shard.stats);
       }
-      meter.block_done();
+      shard.stats.busy_seconds += seconds_since(t0);
       consumed += n;
       shard.progress.store(consumed, std::memory_order_relaxed);
-      shard.ring.release(n);
+      if (shard.lanes == nullptr) shard.ring.release(n);
       if (config_.latency_sample_every != 0) shard.drain_marks(consumed);
     }
     if (et_on) {
@@ -1032,35 +1056,45 @@ void StreamEngine::run_deterministic_shard(Shard& shard) {
       // before the windows close.
       released.clear();
       reorder.flush(released);
-      if (!released.empty()) pipe.process_data_block(released, shard.stats);
+      if (!released.empty()) home->process_data_block(released, shard.stats);
       shard.stats.watermark_valid = reorder.has_watermark();
       shard.stats.watermark_seq = reorder.watermark_seq();
       shard.stats.reorder_peak_buffered = reorder.peak_buffered();
     }
-    pipe.close_all(shard.stats);
-
-    for (std::size_t qi = 0; qi < nq; ++qi) {
-      const DetPipeline::QueryOutcome o = pipe.outcome(qi);
-      auto& qc = shard.query_counters[qi];
-      qc.memberships = o.memberships;
-      qc.memberships_kept = o.memberships_kept;
-      qc.shed_decisions = o.shed_decisions;
-      qc.shed_drops = o.shed_drops;
-      shard.stats.matches += pipe.query_matches[qi].size();
-      shard.stats.shed_decisions += o.shed_decisions;
-      shard.stats.shed_drops += o.shed_drops;
-      shard.query_matches[qi] = std::move(pipe.query_matches[qi]);
-      shard.query_revisions[qi] = std::move(pipe.query_revisions[qi]);
+    // Close every partition that ended up resident here and hand its
+    // outputs to finish(), which merges per PARTITION from wherever each
+    // one landed.  The per-shard stats rollup attributes a partition's
+    // totals to its final host.
+    for (std::size_t p = 0; p < nparts; ++p) {
+      if (shard.parts[p] == nullptr) continue;
+      DetPipeline& pipe = *shard.parts[p];
+      MergeUnit& out = part_out_[p];
+      pipe.close_all(shard.stats);
+      for (std::size_t qi = 0; qi < nq; ++qi) {
+        const DetPipeline::QueryOutcome o = pipe.outcome(qi);
+        out.query_counters[qi] = o;
+        shard.stats.matches += pipe.query_matches[qi].size();
+        shard.stats.shed_decisions += o.shed_decisions;
+        shard.stats.shed_drops += o.shed_drops;
+        out.query_matches[qi] = std::move(pipe.query_matches[qi]);
+        out.query_revisions[qi] = std::move(pipe.query_revisions[qi]);
+      }
+      out.side_outputs = std::move(pipe.side_outputs);
     }
-    shard.side_outputs = std::move(pipe.side_outputs);
   } catch (...) {
     shard.error = std::current_exception();
     shard.failed.store(true, std::memory_order_release);
     any_shard_failed_.store(true, std::memory_order_release);
-    // Keep draining so the router cannot deadlock on a full ring.
+    // Keep draining every input so no router or producer deadlocks on a
+    // full one (producers poll any_shard_failed_ and bail on their next
+    // pass).
     Event e;
-    while (shard.ring.pop_or_closed(e) != SpscRing<Event>::Pop::kDone) {
-      std::this_thread::yield();
+    const std::size_t inputs =
+        shard.lanes != nullptr ? shard.lanes->lane_count() : 1;
+    for (std::size_t p = 0; p < inputs; ++p) {
+      while (shard.input(p).pop_or_closed(e) != SpscRing<Event>::Pop::kDone) {
+        std::this_thread::yield();
+      }
     }
   }
 }
@@ -1084,90 +1118,32 @@ void StreamEngine::push_batch_concurrent(std::size_t producer,
     throw Error(ErrorCode::kShardFailed,
                 "push_batch_concurrent() on an engine with a failed shard");
   }
-
-  // Stage producer-privately: one hash pass splitting the batch by shard.
-  // Same mapping as the single-producer router (shard_of), with the
-  // power-of-two mask fast path.
-  auto& stage = mp_staging_[producer];
-  for (auto& buf : stage) buf.clear();
-  const std::size_t k = config_.shards;
-  const std::uint64_t mask = k - 1;
-  const bool pow2 = (k & (k - 1)) == 0;
   std::uint64_t max_seq = 0;
-  if (config_.key_of) {
-    const auto& key_of = config_.key_of;
-    for (const Event& e : events) {
-      ESPICE_REQUIRE(!is_watermark(e),
-                     "watermarks are not supported in multi-producer mode");
-      max_seq = std::max(max_seq, e.seq);
-      const std::uint64_t h = partition_hash(key_of(e));
-      stage[pow2 ? (h & mask) : (h % k)].push_back(e);
-    }
-  } else {
-    for (const Event& e : events) {
-      ESPICE_REQUIRE(!is_watermark(e),
-                     "watermarks are not supported in multi-producer mode");
-      max_seq = std::max(max_seq, e.seq);
-      const std::uint64_t h = partition_hash(e.type);
-      stage[pow2 ? (h & mask) : (h % k)].push_back(e);
-    }
+  for (const Event& e : events) {
+    ESPICE_REQUIRE(!is_watermark(e),
+                   "watermarks are not supported in multi-producer mode");
+    max_seq = std::max(max_seq, e.seq);
   }
+  // Stage producer-privately with the router's own routing loop (placement
+  // is fixed in this mode, so it is read-only here).
+  stage(events, staging_[producer]);
 
   // Sequencer: one lock serializes the WAL append and the global ingest
   // count across producers -- "producers stage, one sequencer owns the WAL
-  // offset".  The shard rings are NOT touched under the lock.
+  // offset".  The shard lanes are NOT touched under the lock.
   {
     std::lock_guard<std::mutex> lk(sequencer_mu_);
     if (log_ != nullptr && !replaying_) wal_append(events);
     mp_pushed_.fetch_add(events.size(), std::memory_order_relaxed);
   }
 
-  // Flush round-robin across shards into this producer's private lanes.
-  // Round-robin (not shard-by-shard) is a LIVENESS requirement, not a
-  // nicety: shard A's merge can stall on this producer's empty lane-A floor
-  // while the producer sits blocked on shard B's full lane, whose consumer
-  // in turn stalls on a floor another blocked producer owes it.  Rotating
-  // guarantees every producer keeps feeding (or flooring) every shard.
-  auto& offs = mp_off_[producer];
-  offs.assign(k, 0);
-  std::size_t pending = 0;
-  for (std::size_t s = 0; s < k; ++s) {
-    if (!stage[s].empty()) ++pending;
-  }
-  BackoffWaiter waiter(producer);
-  while (pending > 0) {
-    bool progress = false;
-    for (std::size_t s = 0; s < k; ++s) {
-      const auto& buf = stage[s];
-      std::size_t& off = offs[s];
-      if (off >= buf.size()) continue;
-      SpscRing<Event>& lane = shards_[s]->lanes->lane(producer);
-      const std::size_t n =
-          lane.try_push_bulk(buf.data() + off, buf.size() - off);
-      if (n == 0) continue;
-      progress = true;
-      off += n;
-      if (off >= buf.size()) --pending;
-    }
-    if (pending == 0) break;
-    if (!progress) {
-      if (any_shard_failed_.load(std::memory_order_acquire)) {
-        throw Error(ErrorCode::kShardFailed,
-                    "push_batch_concurrent() stalled on a failed shard");
-      }
-      waiter.wait();
-    } else {
-      waiter.reset();
-    }
-  }
+  flush_staged(producer);
 
   // Advance this producer's sequence floor on EVERY shard (including the
   // ones that received nothing): each shard's merge may now emit past
   // max_seq without waiting on this lane.  Valid because each producer's
   // seqs are strictly increasing (the documented contract).
-  for (std::size_t s = 0; s < k; ++s) {
-    shards_[s]->lanes->set_floor(producer, max_seq + 1);
-  }
+  for (auto& s : shards_) s->lanes->set_floor(producer, max_seq + 1);
 }
 
 void StreamEngine::producer_done(std::size_t producer) {
@@ -1178,92 +1154,17 @@ void StreamEngine::producer_done(std::size_t producer) {
   for (auto& s : shards_) s->lanes->close_lane(producer);
 }
 
-void StreamEngine::run_merged_shard(Shard& shard) {
-  try {
-    const std::size_t nq = queries_.size();
-    shard.pipeline = std::make_unique<DetPipeline>(
-        std::span<const EngineQuery>(queries_.data(), queries_.size()),
-        std::move(shard.shedders), /*event_time=*/nullptr);
-    DetPipeline& pipe = *shard.pipeline;
-
-    std::vector<Event> buf(kShardBlock);
-    std::uint64_t consumed = 0;
-    OccupancyMeter meter{shard.stats};
-    BackoffWaiter idle(shard.stats.shard, kShardIdleSleepUs);
-    for (;;) {
-      std::size_t n = 0;
-      const SpscLaneSet<Event>::Merge st =
-          shard.lanes->merge_pop(buf.data(), kShardBlock, n);
-      if (n > 0) {
-        // merge_pop consumed the block from the lanes already; count it
-        // back into the depth sample so the gauge matches the classic
-        // runner's "unreleased block still queued" convention.
-        meter.sample_depth(shard.lanes->size() + n);
-        pipe.process_data_block(std::span<const Event>(buf.data(), n),
-                                shard.stats);
-        meter.block_done();
-        consumed += n;
-        shard.progress.store(consumed, std::memory_order_relaxed);
-        idle.reset();
-      } else if (st == SpscLaneSet<Event>::Merge::kDone) {
-        break;
-      } else {
-        // kStall: some open lane's floor is the bound -- its producer has
-        // neither pushed nor advanced past the merge head yet.
-        idle.wait();
-      }
-    }
-    pipe.close_all(shard.stats);
-
-    for (std::size_t qi = 0; qi < nq; ++qi) {
-      const DetPipeline::QueryOutcome o = pipe.outcome(qi);
-      auto& qc = shard.query_counters[qi];
-      qc.memberships = o.memberships;
-      qc.memberships_kept = o.memberships_kept;
-      qc.shed_decisions = o.shed_decisions;
-      qc.shed_drops = o.shed_drops;
-      shard.stats.matches += pipe.query_matches[qi].size();
-      shard.stats.shed_decisions += o.shed_decisions;
-      shard.stats.shed_drops += o.shed_drops;
-      shard.query_matches[qi] = std::move(pipe.query_matches[qi]);
-    }
-  } catch (...) {
-    shard.error = std::current_exception();
-    shard.failed.store(true, std::memory_order_release);
-    any_shard_failed_.store(true, std::memory_order_release);
-    // Keep every lane draining so no producer deadlocks on a full lane
-    // (producers poll any_shard_failed_ and bail on their next pass).
-    Event e;
-    for (std::size_t p = 0; p < shard.lanes->lane_count(); ++p) {
-      while (shard.lanes->lane(p).pop_or_closed(e) !=
-             SpscRing<Event>::Pop::kDone) {
-        std::this_thread::yield();
-      }
-    }
-  }
-}
-
 std::size_t StreamEngine::partition_of(const Event& e) const {
   ESPICE_REQUIRE(config_.rebalance.has_value(),
                  "partition_of() needs rebalance configured");
-  const std::uint64_t key =
-      config_.key_of ? config_.key_of(e) : static_cast<std::uint64_t>(e.type);
-  return shard_index(key, config_.rebalance->partitions);
+  return bucket(key_hash(e), config_.rebalance->partitions);
 }
 
 std::size_t StreamEngine::shard_of_partition(std::size_t partition) const {
-  ESPICE_REQUIRE(partition < placement_.size(),
+  ESPICE_REQUIRE(config_.rebalance.has_value() &&
+                     partition < placement_.size(),
                  "shard_of_partition() needs a started rebalancing engine");
   return placement_[partition];
-}
-
-void StreamEngine::push_control(Shard& s, const Event& marker) {
-  if (s.ring.try_push(marker)) return;
-  BackoffWaiter waiter(s.stats.shard);
-  do {
-    if (s.failed.load(std::memory_order_acquire)) fail_for_shard(s);
-    waiter.wait();
-  } while (!s.ring.try_push(marker));
 }
 
 void StreamEngine::move_partition(std::size_t partition, std::size_t to_shard) {
@@ -1281,11 +1182,13 @@ void StreamEngine::move_partition(std::size_t partition, std::size_t to_shard) {
   // is replayed gap-free, in order, across the handoff.  Deadlock-free
   // across chained moves: an exporter never waits (it just parks the
   // pipeline in the mailbox), so marker chains resolve in router order.
-  push_control(*shards_[from],
-               make_partition_control(PartitionControl::kExport, partition));
+  // Markers are non-data enqueues, like punctuations.
+  const Event out =
+      make_partition_control(PartitionControl::kExport, partition);
+  enqueue_to(from, &out, 1, /*data=*/false);
   placement_[partition] = to_shard;
-  push_control(*shards_[to_shard],
-               make_partition_control(PartitionControl::kImport, partition));
+  const Event in = make_partition_control(PartitionControl::kImport, partition);
+  enqueue_to(to_shard, &in, 1, /*data=*/false);
   ++rebalance_moves_;
   ++shards_[from]->stats.rebalance_moves_out;
   ++shards_[to_shard]->stats.rebalance_moves_in;
@@ -1333,110 +1236,6 @@ void StreamEngine::decide_moves() {
     load[cold] += part_counts_[best];
   }
   std::fill(part_counts_.begin(), part_counts_.end(), 0);
-}
-
-void StreamEngine::run_partitioned_shard(Shard& shard) {
-  try {
-    const std::size_t nq = queries_.size();
-    const std::size_t me = shard.stats.shard;
-    const std::size_t nparts = config_.rebalance->partitions;
-    // Build the initially resident pipelines.  The initial placement is the
-    // fixed function p % K -- recomputed here rather than read from
-    // placement_, which is router-owned and already mutating.
-    for (std::size_t p = me; p < nparts; p += config_.shards) {
-      shard.parts[p] = std::make_unique<DetPipeline>(
-          std::span<const EngineQuery>(queries_.data(), queries_.size()),
-          std::move(part_shedders_[p]), /*event_time=*/nullptr);
-    }
-
-    std::uint64_t consumed = 0;
-    OccupancyMeter meter{shard.stats};
-    BackoffWaiter idle(me, kShardIdleSleepUs);
-    for (;;) {
-      std::span<const Event> blk = shard.ring.front_block(kShardBlock);
-      if (blk.empty()) {
-        if (!shard.ring.closed()) {
-          idle.wait();
-          continue;
-        }
-        blk = shard.ring.front_block(kShardBlock);
-        if (blk.empty()) break;
-      }
-      idle.reset();
-      const std::size_t n = blk.size();
-      meter.sample_depth(shard.ring.size());
-      // Split the block at migration markers; between them, run-length
-      // group consecutive same-partition events so a skewed stream (long
-      // same-key runs) still takes the block-wise pipeline path.
-      std::size_t i = 0;
-      while (i < n) {
-        const Event& head = blk[i];
-        if (is_partition_control(head)) {
-          const auto p = static_cast<std::size_t>(head.seq);
-          if (partition_control_action(head) == PartitionControl::kExport) {
-            // Hand off: park the pipeline (release publishes everything it
-            // processed) and keep going -- an exporter never waits.
-            mailbox_[p].store(shard.parts[p].release(),
-                              std::memory_order_release);
-          } else {
-            // Adopt: the matching export marker is already queued at the
-            // old owner (the router pushed it first), so spin until that
-            // shard parks the pipeline.  Bail out if any shard died --
-            // a dead exporter would otherwise hang this import forever.
-            DetPipeline* adopted =
-                mailbox_[p].exchange(nullptr, std::memory_order_acquire);
-            while (adopted == nullptr) {
-              if (any_shard_failed_.load(std::memory_order_acquire)) {
-                throw Error(ErrorCode::kShardFailed,
-                            "partition import abandoned: a shard failed "
-                            "mid-migration");
-              }
-              std::this_thread::yield();
-              adopted = mailbox_[p].exchange(nullptr, std::memory_order_acquire);
-            }
-            shard.parts[p].reset(adopted);
-          }
-          ++i;
-          continue;
-        }
-        const std::size_t p = partition_of(head);
-        std::size_t j = i + 1;
-        while (j < n && !is_partition_control(blk[j]) &&
-               partition_of(blk[j]) == p) {
-          ++j;
-        }
-        shard.parts[p]->process_data_block(blk.subspan(i, j - i), shard.stats);
-        i = j;
-      }
-      meter.block_done();
-      consumed += n;
-      shard.progress.store(consumed, std::memory_order_relaxed);
-      shard.ring.release(n);
-    }
-    // End of stream: close every partition that ended up resident here.
-    // finish() collects matches per PARTITION from wherever each one
-    // landed; the per-shard stats rollup below attributes a partition's
-    // totals to its final host (informational -- the canonical per-query
-    // numbers come from the pipelines themselves).
-    for (std::size_t p = 0; p < nparts; ++p) {
-      if (shard.parts[p] == nullptr) continue;
-      shard.parts[p]->close_all(shard.stats);
-      for (std::size_t qi = 0; qi < nq; ++qi) {
-        const DetPipeline::QueryOutcome o = shard.parts[p]->outcome(qi);
-        shard.stats.matches += shard.parts[p]->query_matches[qi].size();
-        shard.stats.shed_decisions += o.shed_decisions;
-        shard.stats.shed_drops += o.shed_drops;
-      }
-    }
-  } catch (...) {
-    shard.error = std::current_exception();
-    shard.failed.store(true, std::memory_order_release);
-    any_shard_failed_.store(true, std::memory_order_release);
-    Event e;
-    while (shard.ring.pop_or_closed(e) != SpscRing<Event>::Pop::kDone) {
-      std::this_thread::yield();
-    }
-  }
 }
 
 void StreamEngine::run_adaptive_shard(Shard& shard) {
@@ -1681,7 +1480,6 @@ void StreamEngine::checkpoint() {
   // their blob out -- each resumes as soon as its target clears.
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Shard& s = *shards_[i];
-    s.checkpoint_ready.store(false, std::memory_order_relaxed);
     s.checkpoint_target.store(pushed_per_shard_[i], std::memory_order_release);
   }
   std::exception_ptr failure;
@@ -1699,14 +1497,12 @@ void StreamEngine::checkpoint() {
     w.u64(pushed_per_shard_[i]);
     w.u64(s.checkpoint_blob.size());
     w.bytes(s.checkpoint_blob.data(), s.checkpoint_blob.size());
-    s.checkpoint_target.store(kNoCheckpoint, std::memory_order_release);
+    s.release_cut();
   }
   if (failure != nullptr) {
     // A shard died mid-checkpoint: release every cut (dead shards ignore
     // them, live ones resume) and surface the shard's error now.
-    for (auto& s : shards_) {
-      s->checkpoint_target.store(kNoCheckpoint, std::memory_order_release);
-    }
+    for (auto& s : shards_) s->release_cut();
     state_ = EngineState::kFailed;
     std::rethrow_exception(failure);
   }
@@ -1854,34 +1650,15 @@ RecoveryReport StreamEngine::recover_and_start() {
 
 std::vector<ComplexEvent> StreamEngine::merge_matches(
     std::vector<std::vector<ComplexEvent>> per_shard) {
-  struct Tagged {
-    std::uint64_t completion_seq;
-    std::size_t shard;
-    std::size_t index;
-  };
-  std::vector<Tagged> order;
-  std::size_t total = 0;
-  for (const auto& v : per_shard) total += v.size();
-  order.reserve(total);
-  for (std::size_t s = 0; s < per_shard.size(); ++s) {
-    for (std::size_t i = 0; i < per_shard[s].size(); ++i) {
-      std::uint64_t completion = 0;
-      for (const auto& c : per_shard[s][i].constituents) {
-        completion = std::max(completion, c.event.seq);
-      }
-      order.push_back(Tagged{completion, s, i});
-    }
-  }
-  std::sort(order.begin(), order.end(), [](const Tagged& a, const Tagged& b) {
-    return std::tie(a.completion_seq, a.shard, a.index) <
-           std::tie(b.completion_seq, b.shard, b.index);
-  });
-  std::vector<ComplexEvent> merged;
-  merged.reserve(total);
-  for (const Tagged& t : order) {
-    merged.push_back(std::move(per_shard[t.shard][t.index]));
-  }
-  return merged;
+  return canonical_merge(
+      per_shard.size(), [&](std::size_t s) -> auto& { return per_shard[s]; },
+      [](const ComplexEvent& ce) {
+        std::uint64_t completion = 0;
+        for (const auto& c : ce.constituents) {
+          completion = std::max(completion, c.event.seq);
+        }
+        return completion;
+      });
 }
 
 EngineReport StreamEngine::finish() {
@@ -1899,28 +1676,8 @@ EngineReport StreamEngine::finish() {
   // Join FIRST: everything below may throw, and throwing while shard
   // threads still run would leave them orphaned (the old order synced the
   // log before closing the rings, so a sync failure hung the shutdown).
-  for (auto& s : shards_) {
-    s->ring.close();
-    if (s->lanes != nullptr) {
-      // Close every lane a producer left open (close_lane is idempotent, so
-      // producers that already called producer_done() cost nothing).  The
-      // caller's contract: every producer has RETURNED from its last
-      // push_batch_concurrent() before finish() is called.
-      for (std::size_t p = 0; p < s->lanes->lane_count(); ++p) {
-        s->lanes->close_lane(p);
-      }
-    }
-  }
-  for (auto& s : shards_) s->thread.join();
+  teardown();
   const double wall = seconds_since(start_);
-  // Reclaim any pipeline stranded in a migration mailbox (only possible
-  // when a shard died between an export and its import -- the success path
-  // always drains both markers before the rings close).
-  if (mailbox_ != nullptr) {
-    for (std::size_t p = 0; p < placement_.size(); ++p) {
-      delete mailbox_[p].exchange(nullptr, std::memory_order_acquire);
-    }
-  }
   for (auto& s : shards_) {
     if (s->error) {
       state_ = EngineState::kFailed;
@@ -1979,83 +1736,44 @@ EngineReport StreamEngine::finish() {
       wall > 0.0 ? static_cast<double>(report.events) / wall : 0.0;
   const std::size_t nq = std::max<std::size_t>(queries_.size(), 1);
 
-  // Rebalancing: the merge unit is the PARTITION, not the shard -- a
-  // partition's pipeline (with all its outputs) may have migrated, but it
-  // ends the run resident on exactly one shard.  Collect each partition's
-  // final pipeline; merging per partition makes the output independent of
-  // the move schedule (and bit-identical to a serial run with one "shard"
-  // per partition).
-  std::vector<DetPipeline*> final_parts;
-  if (!placement_.empty()) {
-    final_parts.assign(placement_.size(), nullptr);
-    for (auto& s : shards_) {
-      for (std::size_t p = 0; p < s->parts.size(); ++p) {
-        if (s->parts[p] != nullptr) final_parts[p] = s->parts[p].get();
-      }
-    }
-    for (std::size_t p = 0; p < final_parts.size(); ++p) {
-      ESPICE_CHECK(final_parts[p] != nullptr, ErrorCode::kEngineFailed,
-                   "partition " + std::to_string(p) +
-                       " has no final host after the run");
-    }
+  // The merge unit is the PARTITION, not the shard: a partition's pipeline
+  // (with all its outputs) may have migrated, but it ends the run resident
+  // on exactly one shard, which handed its outputs to part_out_.  Merging
+  // per partition makes the output independent of the move schedule (and
+  // bit-identical to a serial run with one "shard" per partition; without
+  // rebalancing, partition s is shard s).  Adaptive shards are their own
+  // units.
+  std::vector<MergeUnit*> units;
+  if (config_.adaptive.has_value()) {
+    for (auto& s : shards_) units.push_back(s.get());
+  } else {
+    for (MergeUnit& u : part_out_) units.push_back(&u);
   }
 
-  // Canonical per-query merge: each query's matches across merge units
-  // (shards, or partitions when rebalancing), ordered by (completing event
-  // seq, unit, in-unit index).
+  // Canonical per-query merge: each query's matches across merge units,
+  // ordered by (completing event seq, unit, in-unit index).
   report.queries.resize(nq);
   for (std::size_t qi = 0; qi < nq; ++qi) {
     QueryReport& qr = report.queries[qi];
     qr.name = qi < queries_.size() ? queries_[qi].name
                                    : "q" + std::to_string(qi);
-    std::vector<std::vector<ComplexEvent>> per_shard;
-    if (!final_parts.empty()) {
-      per_shard.reserve(final_parts.size());
-      for (DetPipeline* pp : final_parts) {
-        const DetPipeline::QueryOutcome o = pp->outcome(qi);
-        qr.memberships += o.memberships;
-        qr.memberships_kept += o.memberships_kept;
-        qr.shed_decisions += o.shed_decisions;
-        qr.shed_drops += o.shed_drops;
-        per_shard.push_back(std::move(pp->query_matches[qi]));
-      }
-    } else {
-      per_shard.reserve(shards_.size());
-      for (auto& s : shards_) {
-        qr.memberships += s->query_counters[qi].memberships;
-        qr.memberships_kept += s->query_counters[qi].memberships_kept;
-        qr.shed_decisions += s->query_counters[qi].shed_decisions;
-        qr.shed_drops += s->query_counters[qi].shed_drops;
-        per_shard.push_back(std::move(s->query_matches[qi]));
-      }
+    std::vector<std::vector<ComplexEvent>> per_unit;
+    per_unit.reserve(units.size());
+    for (MergeUnit* u : units) {
+      const DetPipeline::QueryOutcome& o = u->query_counters[qi];
+      qr.memberships += o.memberships;
+      qr.memberships_kept += o.memberships_kept;
+      qr.shed_decisions += o.shed_decisions;
+      qr.shed_drops += o.shed_drops;
+      per_unit.push_back(std::move(u->query_matches[qi]));
     }
-    qr.matches = merge_matches(std::move(per_shard));
-    // Canonical revision order: (late event seq, shard, in-shard index) --
+    qr.matches = merge_matches(std::move(per_unit));
+    // Canonical revision order: (late event seq, unit, in-unit index) --
     // shard- and thread-schedule-independent, like the match merge.
-    {
-      struct TaggedRev {
-        std::uint64_t late_seq;
-        std::size_t shard;
-        std::size_t index;
-      };
-      std::vector<TaggedRev> order;
-      for (std::size_t si = 0; si < shards_.size(); ++si) {
-        const auto& revs = shards_[si]->query_revisions[qi];
-        for (std::size_t i = 0; i < revs.size(); ++i) {
-          order.push_back(TaggedRev{revs[i].late_seq, si, i});
-        }
-      }
-      std::sort(order.begin(), order.end(),
-                [](const TaggedRev& a, const TaggedRev& b) {
-                  return std::tie(a.late_seq, a.shard, a.index) <
-                         std::tie(b.late_seq, b.shard, b.index);
-                });
-      qr.revisions.reserve(order.size());
-      for (const TaggedRev& t : order) {
-        qr.revisions.push_back(
-            std::move(shards_[t.shard]->query_revisions[qi][t.index]));
-      }
-    }
+    qr.revisions = canonical_merge(
+        units.size(),
+        [&](std::size_t u) -> auto& { return units[u]->query_revisions[qi]; },
+        [](const RevisionRecord& r) { return r.late_seq; });
   }
   report.rebalance_moves = rebalance_moves_;
   for (auto& s : shards_) {
@@ -2086,31 +1804,11 @@ EngineReport StreamEngine::finish() {
     }
     if (!report.low_watermark_valid) report.low_watermark_seq = 0;
   }
-  // Side outputs merged canonically by (late event seq, shard, index).
-  {
-    struct TaggedSo {
-      std::uint64_t seq;
-      std::size_t shard;
-      std::size_t index;
-    };
-    std::vector<TaggedSo> order;
-    for (std::size_t si = 0; si < shards_.size(); ++si) {
-      const auto& so = shards_[si]->side_outputs;
-      for (std::size_t i = 0; i < so.size(); ++i) {
-        order.push_back(TaggedSo{so[i].event.seq, si, i});
-      }
-    }
-    std::sort(order.begin(), order.end(),
-              [](const TaggedSo& a, const TaggedSo& b) {
-                return std::tie(a.seq, a.shard, a.index) <
-                       std::tie(b.seq, b.shard, b.index);
-              });
-    report.side_outputs.reserve(order.size());
-    for (const TaggedSo& t : order) {
-      report.side_outputs.push_back(
-          std::move(shards_[t.shard]->side_outputs[t.index]));
-    }
-  }
+  // Side outputs merged canonically by (late event seq, unit, index).
+  report.side_outputs = canonical_merge(
+      units.size(),
+      [&](std::size_t u) -> auto& { return units[u]->side_outputs; },
+      [](const SideOutputRecord& so) { return so.event.seq; });
 
   // Engine-level canonical order: (completion seq, query, shard, index).
   // Each per-query merged list is already (completion, shard, index)-sorted,

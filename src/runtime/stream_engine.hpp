@@ -253,15 +253,20 @@ struct StreamEngineConfig {
   /// entries (push()/push_batch()) are disabled.  Each shard is fed through
   /// P producer-private SPSC lanes merged deterministically on sequence
   /// numbers (see SpscLaneSet), so output is bit-identical to the serial
-  /// golden regardless of producer interleaving.  Deterministic mode only;
-  /// excludes adaptive / event-time / rebalance / latency sampling, and
+  /// golden regardless of producer interleaving.  The shards run the same
+  /// deterministic runner as with one router; only the block source
+  /// differs.  Deterministic mode only; excludes adaptive / event-time /
+  /// rebalance / latency sampling (marks are router-owned counters), and
   /// durability is limited to WAL + recovery (no mid-stream checkpoints:
   /// the set of events "pushed so far" is not a seq-prefix under concurrent
   /// producers, so no consistent cut exists until the stream ends).
   std::size_t producers = 0;
-  /// Dynamic hot-partition rebalancing (see RebalanceConfig).  Deterministic
-  /// single-producer mode only; excludes adaptive / event-time / durability /
-  /// latency sampling.
+  /// Dynamic hot-partition rebalancing (see RebalanceConfig).  Without it
+  /// the engine is the L = K special case: shard s hosts exactly partition
+  /// s and placement never changes.  Deterministic single-producer mode
+  /// only; excludes adaptive / event-time (reorder state does not migrate)
+  /// / durability (checkpoint cuts assume a fixed placement).  Composes
+  /// with latency sampling.
   std::optional<RebalanceConfig> rebalance;
   /// Per-shard ring capacity (rounded up to a power of two).  A full ring
   /// back-pressures the router (bounded yield->sleep backoff, see
@@ -303,6 +308,8 @@ struct StreamEngineConfig {
   /// untouched.  Sampling piggybacks on a tiny side ring per shard and
   /// degrades gracefully (a mark is dropped, never blocked on) when the
   /// shard lags more than the side ring's capacity worth of samples.
+  /// Composes with rebalancing (migration markers count as non-data
+  /// enqueues, like punctuations); excluded in multi-producer mode.
   std::size_t latency_sample_every = 0;
 
   // --- event time ----------------------------------------------------------
@@ -614,23 +621,41 @@ class StreamEngine {
 
  private:
   struct Shard;
+  struct MergeUnit;
+  /// One pending run of events bound for one shard's input.
+  struct Run {
+    Shard* shard;
+    const Event* data;
+    std::size_t n;
+  };
+  /// One producer's routing scratch (producer 0 is the single router):
+  /// per shard, the batch slice staged for it, and the runs enqueue()
+  /// works down.  Reused across batches, so steady state allocates nothing.
+  struct Staging {
+    std::vector<std::vector<Event>> per_shard;
+    std::vector<Run> runs;
+  };
 
-  void run_deterministic_shard(Shard& shard);
+  /// The deterministic shard loop: one pipeline per resident logical
+  /// partition (exactly partition s on shard s without rebalancing), fed
+  /// from the ring or, with producers, the P-lane merge.
+  void run_shard(Shard& shard);
   void run_adaptive_shard(Shard& shard);
-  /// Multi-producer shard loop: drains the shard's P-lane merge.
-  void run_merged_shard(Shard& shard);
-  /// Rebalance-mode shard loop: one pipeline per resident partition,
-  /// migration markers handled in-band.
-  void run_partitioned_shard(Shard& shard);
-  /// Bulk-pushes `n` events into one shard's ring, backing off (bounded
-  /// yield->sleep) whenever the ring is full.
-  void bulk_push_shard(Shard& s, const Event* data, std::size_t n);
-  /// Flushes the per-shard staging buffers round-robin: pushes what fits
-  /// into each pending ring and rotates, waiting only when EVERY pending
-  /// ring is full -- one full shard no longer serializes the others.
-  void flush_staged();
-  /// Pushes one control marker into shard `s`'s ring (backpressure waits).
-  void push_control(Shard& s, const Event& marker);
+  /// The one backpressure loop: pushes staging_[producer].runs into their
+  /// shards' inputs round-robin, waiting (bounded yield->sleep) only when
+  /// every pending input is full, and raising a typed error when a shard
+  /// died.  `data` = false marks punctuation / migration-marker enqueues.
+  void enqueue(std::size_t producer, bool data);
+  /// Router thread: enqueue() of one run of `n` events to shard `shard`.
+  void enqueue_to(std::size_t shard, const Event* data, std::size_t n,
+                  bool is_data);
+  /// The routing loop: stages every event for its partition's current host
+  /// shard (and counts partition traffic while rebalancing).
+  void stage(std::span<const Event> events, Staging& st);
+  /// Enqueues everything staging_[producer] holds.
+  void flush_staged(std::size_t producer);
+  /// The fixed partition hash of an event's key.
+  std::uint64_t key_hash(const Event& e) const;
   /// Rebalance decision: greedily moves the largest partitions off the
   /// most loaded shard while the imbalance exceeds hot_factor.  Pure
   /// function of the routing counts -> deterministic.
@@ -677,30 +702,20 @@ class StreamEngine {
   /// add_query() was never called).
   std::vector<EngineQuery> queries_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// push_batch() staging: per shard, the batch's events in stream order
-  /// (router-owned; reused across batches, so steady state allocates
-  /// nothing).
-  std::vector<std::vector<Event>> staging_;
-  /// flush_staged(): per-shard resume offset into staging_ (router-owned).
-  std::vector<std::size_t> staging_off_;
+  /// Per producer (producer 0 = the single router), its routing scratch.
+  std::vector<Staging> staging_;
 
-  // --- multi-producer state (empty when producers == 0) --------------------
+  // --- multi-producer state (unused when producers == 0) -------------------
   /// Serializes the WAL append + global ingest count across producers: the
   /// "producers stage, one sequencer owns the WAL offset" contract.
   std::mutex sequencer_mu_;
   /// Events ingested through push_batch_concurrent (atomic: producers add
   /// under sequencer_mu_, the router reads in pushed()).
   std::atomic<std::uint64_t> mp_pushed_{0};
-  /// Per producer, per shard: the batch slice staged for that shard
-  /// (producer-private; reused across batches).
-  std::vector<std::vector<std::vector<Event>>> mp_staging_;
-  /// Per producer, per shard: round-robin flush resume offsets into
-  /// mp_staging_ (producer-private; reused across batches).
-  std::vector<std::vector<std::size_t>> mp_off_;
 
-  // --- rebalance state (empty when rebalance is off; router thread) --------
+  // --- placement (router thread; fixed without rebalancing) --------------
   std::vector<std::size_t> placement_;     ///< partition -> hosting shard
-  std::vector<std::uint64_t> part_counts_; ///< events routed, this window
+  std::vector<std::uint64_t> part_counts_; ///< rebalancing: routed, window
   std::uint64_t window_routed_ = 0;        ///< window progress
   std::uint64_t rebalance_moves_ = 0;
   /// Migration handoff: the exporter publishes the partition's pipeline
@@ -710,6 +725,9 @@ class StreamEngine {
   /// Per-partition shedders, built on the router thread at start() and
   /// adopted by whichever shard constructs the partition's pipeline.
   std::vector<std::vector<std::unique_ptr<Shedder>>> part_shedders_;
+  /// Per partition, its pipeline's outputs, written by the final host shard
+  /// at end of stream and merged by finish() after the join.
+  std::vector<MergeUnit> part_out_;
 
   std::uint64_t pushed_ = 0;
   bool started_ = false;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -46,12 +47,27 @@ StreamEngineConfig base_config(std::size_t shards) {
   return config;
 }
 
+/// `rebalance`: host 4 logical partitions on the shards; `move`: migrate
+/// partition 0 to the other shard halfway through the stream.
 EngineReport run_with_sampling(std::size_t shards, std::size_t every,
-                               const std::vector<Event>& events) {
+                               const std::vector<Event>& events,
+                               bool rebalance = false, bool move = false) {
   StreamEngineConfig config = base_config(shards);
   config.latency_sample_every = every;
+  if (rebalance) {
+    config.rebalance.emplace();
+    config.rebalance->partitions = 4;
+    config.rebalance->interval_events = 1u << 30;  // forced moves only
+  }
   StreamEngine engine(std::move(config));
-  engine.push_batch(events);
+  if (!move) {
+    engine.push_batch(events);
+    return engine.finish();
+  }
+  const std::span<const Event> all(events);
+  engine.push_batch(all.first(all.size() / 2));
+  engine.move_partition(0, (engine.shard_of_partition(0) + 1) % shards);
+  engine.push_batch(all.subspan(all.size() / 2));
   return engine.finish();
 }
 
@@ -81,20 +97,30 @@ TEST(LatencySampling, SamplesAndMergesAcrossShards) {
   EXPECT_LE(report.latency.quantile(0.999), report.latency.max());
 }
 
+// Inputs: fixed placement, and rebalancing where the sampled run also takes
+// a forced mid-stream move (marks and migration markers share the ring).
 TEST(LatencySampling, SamplingDoesNotPerturbOutput) {
   const auto events = make_stream(3000);
-  const EngineReport off = run_with_sampling(2, 0, events);
-  const EngineReport on = run_with_sampling(2, 8, events);
-  ASSERT_EQ(off.matches.size(), on.matches.size());
-  for (std::size_t i = 0; i < off.matches.size(); ++i) {
-    ASSERT_EQ(off.matches[i].constituents.size(),
-              on.matches[i].constituents.size());
-    for (std::size_t c = 0; c < off.matches[i].constituents.size(); ++c) {
-      EXPECT_EQ(off.matches[i].constituents[c].event.seq,
-                on.matches[i].constituents[c].event.seq);
+  for (const bool rebalance : {false, true}) {
+    SCOPED_TRACE(rebalance ? "rebalance + forced move" : "fixed placement");
+    const EngineReport off = run_with_sampling(2, 0, events, rebalance);
+    const EngineReport on =
+        run_with_sampling(2, 8, events, rebalance, /*move=*/rebalance);
+    ASSERT_EQ(off.matches.size(), on.matches.size());
+    for (std::size_t i = 0; i < off.matches.size(); ++i) {
+      ASSERT_EQ(off.matches[i].constituents.size(),
+                on.matches[i].constituents.size());
+      for (std::size_t c = 0; c < off.matches[i].constituents.size(); ++c) {
+        EXPECT_EQ(off.matches[i].constituents[c].event.seq,
+                  on.matches[i].constituents[c].event.seq);
+      }
+    }
+    EXPECT_EQ(off.events, on.events);
+    if (rebalance) {
+      EXPECT_EQ(on.rebalance_moves, 1u);
+      EXPECT_GT(on.latency.count(), 0u);
     }
   }
-  EXPECT_EQ(off.events, on.events);
 }
 
 // Scalar push() path (no batching) samples too.

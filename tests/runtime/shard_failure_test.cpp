@@ -43,9 +43,19 @@ class ExplodingShedder final : public Shedder {
   const char* name() const override { return "exploding"; }
 };
 
-StreamEngineConfig make_config(std::size_t shards, bool event_time = false) {
+/// `producers` > 0: multi-producer lanes; `rebalance`: 4 logical partitions
+/// with only forced moves.
+StreamEngineConfig make_config(std::size_t shards, bool event_time = false,
+                               std::size_t producers = 0,
+                               bool rebalance = false) {
   StreamEngineConfig config;
   config.shards = shards;
+  config.producers = producers;
+  if (rebalance) {
+    config.rebalance.emplace();
+    config.rebalance->partitions = 4;
+    config.rebalance->interval_events = 1u << 30;
+  }
   config.ring_capacity = 256;
   WindowSpec spec;
   spec.span_kind = WindowSpan::kCount;
@@ -130,6 +140,47 @@ TEST(ShardFailure, BatchPushRaisesTypedWithinDeadline) {
   EXPECT_EQ(err.code(), ErrorCode::kShardFailed);
   EXPECT_EQ(engine.state(), EngineState::kFailed);
   engine.abort();
+}
+
+// The lane drain: a shard fed by P producer lanes must drain every lane
+// when it dies, so producers surface the death instead of blocking.  One
+// thread alternates the producers, so both lane floors keep advancing.
+TEST(ShardFailure, ConcurrentPushRaisesTypedWithinDeadline) {
+  StreamEngine engine(make_config(2, false, /*producers=*/2));
+  engine.start();
+  std::vector<Event> batch(64);
+  const Error err = push_until_failure([&](std::size_t i) {
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+      batch[j] = data_event(i * batch.size() + j);
+    }
+    engine.push_batch_concurrent(i % 2, batch);
+  });
+  EXPECT_EQ(err.code(), ErrorCode::kShardFailed);
+  const auto t0 = std::chrono::steady_clock::now();
+  engine.abort();
+  EXPECT_LT(seconds_since(t0), kDeadlineSeconds);
+}
+
+// The migration-import bail-out: partitions keep moving across the death,
+// so some import waits on a pipeline its dead exporter never parks.  The
+// importer must give up (abort() would otherwise hang joining it), and the
+// router must raise the death typed.
+TEST(ShardFailure, RebalancingBatchPushRaisesTypedWithinDeadline) {
+  StreamEngine engine(make_config(2, false, 0, /*rebalance=*/true));
+  std::vector<Event> batch(64);
+  const Error err = push_until_failure([&](std::size_t i) {
+    for (std::size_t j = 0; j < batch.size(); ++j) {
+      batch[j] = data_event(i * batch.size() + j);
+    }
+    engine.push_batch(batch);
+    const std::size_t p = i % 4;
+    engine.move_partition(p, 1 - engine.shard_of_partition(p));
+  });
+  EXPECT_EQ(err.code(), ErrorCode::kShardFailed);
+  EXPECT_EQ(engine.state(), EngineState::kFailed);
+  const auto t0 = std::chrono::steady_clock::now();
+  engine.abort();
+  EXPECT_LT(seconds_since(t0), kDeadlineSeconds);
 }
 
 TEST(ShardFailure, PunctuationPushRaisesTypedWithinDeadline) {
