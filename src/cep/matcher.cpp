@@ -44,9 +44,8 @@ std::vector<ComplexEvent> Matcher::match_window(const WindowView& w) const {
   return out;
 }
 
-ComplexEvent Matcher::build_match(const WindowView& w,
-                                  const std::vector<std::size_t>& event_indices,
-                                  bool trigger_any) const {
+ComplexEvent Matcher::build_match(
+    const WindowView& w, const std::vector<std::size_t>& event_indices) const {
   ComplexEvent ce;
   ce.window = w.id;
   ce.constituents.reserve(event_indices.size());
@@ -91,7 +90,7 @@ void Matcher::match_sequence_first_negated(
     if (p < k && pattern_.elements[p].matches(ev)) {
       bind_.push_back(i);
       if (bind_.size() == k) {
-        out.push_back(build_match(w, bind_, /*trigger_any=*/false));
+        out.push_back(build_match(w, bind_));
         bind_.clear();  // consumed and zero alike: continue with fresh state
         if (out.size() >= max_matches_) return;
       }
@@ -138,7 +137,7 @@ void Matcher::match_sequence_first(const WindowView& w,
       }
       if (!found) return;  // no further match possible
     }
-    out.push_back(build_match(w, bind_, /*trigger_any=*/false));
+    out.push_back(build_match(w, bind_));
     if (consumption_ == ConsumptionPolicy::kConsumed) {
       if (exclude) {
         for (std::size_t i : bind_) consumed_[i] = 1;
@@ -193,7 +192,7 @@ void Matcher::match_sequence_last(const WindowView& w,
       if (j == k - 1) {
         bind_ = partial_[j];
         bind_.push_back(i);
-        out.push_back(build_match(w, bind_, /*trigger_any=*/false));
+        out.push_back(build_match(w, bind_));
         if (out.size() >= max_matches_) return;
         if (consumption_ == ConsumptionPolicy::kConsumed) {
           // Last selection never falls back to superseded (older) instances:
@@ -289,7 +288,7 @@ void Matcher::match_trigger_any(const WindowView& w,
     bind_.reserve(1 + chosen_.size());
     bind_.push_back(ti);
     bind_.insert(bind_.end(), chosen_.begin(), chosen_.end());
-    out.push_back(build_match(w, bind_, /*trigger_any=*/true));
+    out.push_back(build_match(w, bind_));
 
     if (consumption_ == ConsumptionPolicy::kConsumed) {
       if (exclude) {

@@ -85,8 +85,7 @@ class Matcher {
                          std::vector<ComplexEvent>& out) const;
 
   ComplexEvent build_match(const WindowView& w,
-                           const std::vector<std::size_t>& event_indices,
-                           bool trigger_any) const;
+                           const std::vector<std::size_t>& event_indices) const;
 
   /// Spec forbidden between elements g and g+1, or nullptr.  Indexes into
   /// pattern_.negations (stable under Matcher copies, unlike raw pointers).

@@ -144,18 +144,17 @@ void WindowManager::compact_close_predicate(const Event& e) {
   open_.resize(out);
 }
 
-std::vector<WindowManager::Membership>& WindowManager::offer(const Event& e) {
+std::size_t WindowManager::advance(const Event& e) {
   // The previous event's keep fate is final now; report it before any
   // window containing it can close below.
   if (feed_ != nullptr) flush_feed();
   scratch_.clear();
   event_in_store_ = false;
-  const std::uint64_t idx = events_seen_;
 
   // 1. Close windows that can no longer accept events.  Every open window
-  //    receives every event, so arrivals = idx - open_index and the oldest
-  //    window always reaches a time/count span (or the predicate safety
-  //    cap) first: FIFO head advance, O(1) amortized.  With the current
+  //    receives every event, so arrivals = events_seen_ - open_index and
+  //    the oldest window always reaches a time/count span (or the predicate
+  //    safety cap) first: FIFO head advance, O(1) amortized.  With the current
   //    all-windows closer semantics the expired set is always such a
   //    prefix; the deferred compaction pass below only sweeps out-of-order
   //    stragglers after a closer fired (never a mid-container erase).
@@ -176,13 +175,40 @@ std::vector<WindowManager::Membership>& WindowManager::offer(const Event& e) {
       if (spec_.opener.matches(e)) open_window(e);
       break;
     case WindowOpen::kCountSlide:
-      if (idx % spec_.slide_events == 0) open_window(e);
+      if (events_seen_ % spec_.slide_events == 0) open_window(e);
       break;
   }
 
-  // 3. Route the event to every open window.  Positions are computed from
-  //    the open index; no window state is touched.
-  scratch_.reserve(open_.size() - open_head_);
+  // 3. Pattern-based closing: a closer event ends every open window (it is
+  //    part of them -- the caller routes it to them -- and they close
+  //    before the next event).
+  const std::size_t offered = open_.size() - open_head_;
+  if (spec_.span_kind == WindowSpan::kPredicate && spec_.closer.matches(e)) {
+    for (std::size_t i = open_head_; i < open_.size(); ++i) {
+      open_[i].close_pending = true;
+    }
+    any_close_pending_ = offered > 0;
+  }
+  if (feed_ != nullptr && offered > 0) {
+    // Arm the pending feed record; keep() calls fill in the masks.
+    pending_valid_ = true;
+    pending_event_ = e;
+    pending_index_ = events_seen_;
+    pending_mcount_ = offered;
+    pending_keeps_ = 0;
+    pending_and_ = ~QueryMask{0};
+    pending_or_ = 0;
+  }
+  ++events_seen_;
+  return offered;
+}
+
+std::vector<WindowManager::Membership>& WindowManager::offer(const Event& e) {
+  const std::uint64_t idx = events_seen_;
+  const std::size_t offered = advance(e);
+  // Route the event to every open window.  Positions are computed from the
+  // open index; no window state is touched.
+  scratch_.reserve(offered);
   for (std::size_t i = open_head_; i < open_.size(); ++i) {
     const WindowRecord& w = open_[i];
     const std::uint64_t position = idx - w.open_index;
@@ -190,29 +216,10 @@ std::vector<WindowManager::Membership>& WindowManager::offer(const Event& e) {
     scratch_.push_back(Membership{w.id, static_cast<std::uint32_t>(position),
                                   static_cast<std::uint32_t>(i)});
   }
-
-  // 4. Pattern-based closing: a closer event ends every open window (it is
-  //    part of them -- it was routed above -- and they close before the
-  //    next event).
-  if (spec_.span_kind == WindowSpan::kPredicate && spec_.closer.matches(e)) {
-    for (std::size_t i = open_head_; i < open_.size(); ++i) {
-      open_[i].close_pending = true;
-    }
-    any_close_pending_ = open_head_ < open_.size();
-  }
-  if (feed_ != nullptr && !scratch_.empty()) {
-    // Arm the pending feed record; keep() calls below fill in the masks.
-    pending_valid_ = true;
-    pending_event_ = e;
-    pending_index_ = idx;
-    pending_mcount_ = scratch_.size();
-    pending_keeps_ = 0;
-    pending_and_ = ~QueryMask{0};
-    pending_or_ = 0;
-  }
-  ++events_seen_;
   return scratch_;
 }
+
+std::size_t WindowManager::offer_dropped(const Event& e) { return advance(e); }
 
 void WindowManager::flush_feed() {
   if (!pending_valid_) return;

@@ -274,6 +274,14 @@ class WindowManager {
   /// Membership entries stay valid until the next offer()/close_all() call.
   std::vector<Membership>& offer(const Event& e);
 
+  /// offer() for an event the caller already knows every window drops
+  /// (Shedder::drops_everywhere): opens and closes windows exactly as
+  /// offer(e) does and leaves the manager -- pending kept-feed record
+  /// included -- exactly as offer(e) followed by no keep() would, so
+  /// serialize() writes the same bytes.  Builds no membership list; returns
+  /// the number of windows `e` was offered to (offer(e).size()).
+  std::size_t offer_dropped(const Event& e);
+
   /// Records `e` as kept (not shed) in the given window.  The event payload
   /// is appended to the shared store at most once per offer() no matter how
   /// many windows keep it.
@@ -394,6 +402,12 @@ class WindowManager {
     std::vector<QueryMask> kept_masks;  ///< parallel to kept (mask mode only)
   };
 
+  /// The steps offer() and offer_dropped() share: reports the previous
+  /// event's feed record, closes expired windows, opens one if the spec
+  /// says so, marks close-pending on a closer, arms the pending feed record
+  /// and advances the offer index.  Returns the number of windows `e` is
+  /// offered to -- the open ones, [open_head_, open_.size()).
+  std::size_t advance(const Event& e);
   void open_window(const Event& e);
   void flush_feed();
   void close_record(WindowRecord&& w);

@@ -125,10 +125,13 @@ void EspiceShedder::rebuild_ut_flat() {
   // 3 tail bytes keep the AVX2 kernel's 4-byte scale-1 gathers of the last
   // entries inside the allocation (values never read: low byte masked).
   ut_flat_.assign(types * n + 3, 0);
+  row_max_.assign(types, 0);
   for (std::size_t t = 0; t < types; ++t) {
     for (std::size_t p = 0; p < n; ++p) {
-      ut_flat_[t * n + p] = static_cast<std::uint8_t>(
+      const auto u = static_cast<std::uint8_t>(
           model_->utility_cell(static_cast<EventTypeId>(t), p / model_->bin_size()));
+      ut_flat_[t * n + p] = u;
+      row_max_[t] = std::max(row_max_[t], u);
     }
   }
   // The kernel's gather indices are signed 32-bit; a model too large for
@@ -203,7 +206,19 @@ void EspiceShedder::on_command(const DropCommand& cmd) {
     }
     boundary_drop_[p] = frac;
   }
+  min_threshold_ = *std::min_element(thresholds_.begin(), thresholds_.end());
   rebuild_flat_thresholds();
+}
+
+bool EspiceShedder::drops_everywhere(const Event& e) const {
+  if (!active_ || exploration_ != 0.0 || is_watermark(e) ||
+      e.type >= row_max_.size()) {
+    return false;
+  }
+  // 64-bit so an absurd revise boost cannot overflow the sum.
+  const std::int64_t top =
+      std::int64_t{row_max_[e.type]} + std::int64_t{revise_boost_};
+  return top < min_threshold_ || (!exact_amount_ && top == min_threshold_);
 }
 
 bool EspiceShedder::decide(EventTypeId type, std::uint32_t position,

@@ -23,6 +23,19 @@
 // differential twin test (tests/property/shedder_simd_oracle_test) holds
 // it to that.
 //
+// Type pruning: a trained UT row is all zeros for every type that never
+// took part in a match, and under a typical armed command such a type drops
+// at every position.  drops_everywhere() answers that per event from two
+// values the control plane already derives -- the type's largest UT cell
+// (built in rebuild_ut_flat()'s pass) and the smallest partition threshold
+// (set in on_command()) -- so hosts can skip the event's routing and
+// scoring.  It is exact: true only while active with exploration off, for a
+// non-watermark in-range type whose row maximum plus the revise boost lies
+// below that threshold (or equals it when exact_amount is off, since a
+// boundary utility then drops without a Bernoulli draw).  Every utility()
+// the general path computes is an average of row cells, so it never exceeds
+// the row maximum and the answer holds for every window size too.
+//
 // Control plane: on_command() (re)computes the per-partition utility
 // thresholds from the CDTs and re-broadcasts the flat arrays; CDT sets are
 // cached per partition count (flat, partition-count-indexed) so a command
@@ -79,6 +92,7 @@ class EspiceShedder final : public Shedder {
   void score_block(const Event& e, const std::uint32_t* positions,
                    std::size_t n, double predicted_ws,
                    std::uint64_t* keep_bits) override;
+  bool drops_everywhere(const Event& e) const override;
   void on_command(const DropCommand& cmd) override;
   const char* name() const override { return "eSPICE"; }
 
@@ -141,6 +155,8 @@ class EspiceShedder final : public Shedder {
   std::vector<std::uint8_t> ut_flat_;       ///< [type * N + position]
   std::vector<int> pos_threshold_;          ///< threshold of pos's partition
   std::vector<double> pos_boundary_;        ///< boundary drop of its partition
+  std::vector<std::uint8_t> row_max_;       ///< [type] largest UT cell
+  int min_threshold_ = 0;                   ///< smallest partition threshold
   double n_as_ws_ = 0.0;                    ///< N as a double (ws fast-path key)
   /// Flat index space fits the kernel's signed 32-bit gather indices
   /// (set by rebuild_ut_flat; practically always true).

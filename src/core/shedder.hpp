@@ -5,6 +5,14 @@
 // detector (core/overload_detector.hpp) steers every shedder through
 // DropCommand messages, so eSPICE, the He-et-al.-style baseline and the
 // random shedder are interchangeable in the simulator and the harness.
+//
+// Early-out: drops_everywhere(e) lets a host skip an event's membership
+// routing and scoring when the shedder already knows, from the event alone,
+// that every (position, window size) would drop it without consuming any
+// state but the counters (no RNG draw).  The host then records the n
+// decisions with count_dropped(n), which leaves the shedder exactly as n
+// dropping should_drop() calls would.  The default answers false, so a
+// shedder without such knowledge keeps the per-membership path.
 #pragma once
 
 #include <cstddef>
@@ -77,6 +85,18 @@ class Shedder {
     }
     if (n > 0) keep_bits[(n - 1) / 64] = word;
   }
+
+  /// True only when should_drop(e, p, ws) would drop for EVERY position p
+  /// and window size ws under the current command, and deciding would
+  /// consume no state other than the decision counters (no RNG draw).  A
+  /// host may then skip scoring and record the event's n memberships with
+  /// count_dropped(n) -- bit-identical to scoring them.  Must not allocate;
+  /// false (the default) is always a correct answer.
+  virtual bool drops_everywhere(const Event& /*e*/) const { return false; }
+
+  /// Records `n` decisions, all drops: the counter effect of `n` dropping
+  /// should_drop() calls, for hosts acting on drops_everywhere().
+  void count_dropped(std::uint64_t n) { count_block(n, n); }
 
   /// Applies a new command from the overload detector (control plane; may do
   /// non-trivial work such as recomputing utility thresholds).

@@ -257,6 +257,14 @@ void DetPipeline::process_data_block(std::span<const Event> data,
         stats.memberships_kept += kept;
       } else {
         for (const Event& e : data) {
+          if (rt.shedder->drops_everywhere(e)) {
+            // Every window drops it: no membership list, no scoring.
+            const std::size_t mcount = g.wm.offer_dropped(e);
+            stats.memberships += mcount;
+            rt.memberships += mcount;
+            rt.shedder->count_dropped(mcount);
+            continue;
+          }
           auto& memberships = g.wm.offer(e);
           const std::size_t mcount = memberships.size();
           stats.memberships += mcount;
@@ -301,6 +309,9 @@ void DetPipeline::process_data_block(std::span<const Event> data,
           if (rt.shedder == nullptr) {
             for (std::size_t w = 0; w < words; ++w) bits[w] = ~0ULL;
             rt.kept += mcount;
+          } else if (rt.shedder->drops_everywhere(e)) {
+            for (std::size_t w = 0; w < words; ++w) bits[w] = 0;
+            rt.shedder->count_dropped(mcount);
           } else {
             rt.shedder->score_block(e, pos_scratch_.data(), mcount,
                                     rt.predicted_ws, bits);

@@ -45,9 +45,16 @@
 // boundary checks hoisted out of the inner loop, bulk store appends), and
 // shedding groups score each event's membership block through
 // Shedder::score_block into keep bitmaps instead of one virtual call per
-// membership.  The block path is output-bit-identical to per-event
-// execution (tests/runtime/batch_ingest_oracle_test.cpp enforces it), so
-// push() and push_batch() are interchangeable mid-stream.
+// membership.  Type pruning skips even that for events the shedder knows
+// every window drops (Shedder::drops_everywhere: for eSPICE, an armed,
+// exploration-free model whose UT row for the event's type cannot reach
+// the smallest partition threshold, so no decision draws from the RNG).  A
+// single-query group then only advances its windows
+// (WindowManager::offer_dropped: no membership list, no scoring) and a
+// diverging group zeroes that query's keep words; both count the decisions
+// in bulk (Shedder::count_dropped).  The block path is output-bit-identical
+// to per-event execution (tests/runtime/batch_ingest_oracle_test.cpp
+// enforces it), so push() and push_batch() are interchangeable mid-stream.
 //
 // Multi-query execution: add_query() registers N queries before the first
 // push(); shard threads spawn lazily on the first push (or an explicit

@@ -8,15 +8,20 @@
 // including that *dropped* events still advance positions.  Every span kind
 // (time / count / predicate) is crossed with every open kind (predicate /
 // count-slide) and with keep-everything, hash-shedding and heavy-shedding
-// policies.
+// policies.  One "dead" type goes through offer_dropped() -- the early-out
+// for events every window drops -- while the reference offers it and keeps
+// nothing; a directed twin test holds offer_dropped() to offer()-without-
+// keep() byte for byte, kept feed included.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <tuple>
 #include <vector>
 
 #include "cep/reference_window.hpp"
 #include "cep/window.hpp"
 #include "common/rng.hpp"
+#include "durability/serial.hpp"
 #include "support/test_seed.hpp"
 
 namespace espice {
@@ -24,6 +29,9 @@ namespace {
 
 constexpr EventTypeId kOpenerType = 1;
 constexpr EventTypeId kCloserType = 2;
+/// Routed through offer_dropped() in run_engine_comparison.  The opener
+/// type, so predicate-opened windows open on the early-out path too.
+constexpr EventTypeId kDeadType = kOpenerType;
 
 WindowSpec make_spec(WindowSpan span_kind, WindowOpen open_kind) {
   WindowSpec spec;
@@ -107,10 +115,15 @@ void run_engine_comparison(const WindowSpec& spec, unsigned drop_mod,
   std::size_t reference_memberships = 0;
 
   for (const Event& e : events) {
-    auto& ms = engine.offer(e);
-    engine_memberships += ms.size();
-    for (const auto& m : ms) {
-      if (!should_drop(e, m.window, drop_mod, 0)) engine.keep(m, e);
+    const bool dead = e.type == kDeadType;
+    if (dead) {
+      engine_memberships += engine.offer_dropped(e);
+    } else {
+      auto& ms = engine.offer(e);
+      engine_memberships += ms.size();
+      for (const auto& m : ms) {
+        if (!should_drop(e, m.window, drop_mod, 0)) engine.keep(m, e);
+      }
     }
     for (const auto& w : engine.drain_closed()) {
       engine_closed.push_back(materialize(w));
@@ -119,7 +132,9 @@ void run_engine_comparison(const WindowSpec& spec, unsigned drop_mod,
     auto& rms = reference.offer(e);
     reference_memberships += rms.size();
     for (const auto& m : rms) {
-      if (!should_drop(e, m.window, drop_mod, 0)) reference.keep(m, e);
+      if (!dead && !should_drop(e, m.window, drop_mod, 0)) {
+        reference.keep(m, e);
+      }
     }
     for (auto& w : reference.drain_closed()) {
       reference_closed.push_back(std::move(w));
@@ -206,6 +221,103 @@ TEST(WindowOracle, FullSheddingStillAdvancesPositions) {
   // Nothing kept means nothing stored: the shared store never grew.
   EXPECT_EQ(engine.store().size(), 0u);
   EXPECT_EQ(engine.resident_payload_bytes(), 0u);
+}
+
+/// Logs every kept-feed callback in order, keeps and opens interleaved.
+class RecordingFeed final : public KeptFeed {
+ public:
+  struct Entry {
+    bool open;
+    std::uint64_t index;
+    std::uint64_t seq;
+    QueryMask uniform;
+    QueryMask partial;
+    bool operator==(const Entry&) const = default;
+  };
+  void on_event_kept(const Event& e, std::uint64_t offer_index,
+                     QueryMask uniform, QueryMask partial) override {
+    log.push_back(Entry{false, offer_index, e.seq, uniform, partial});
+  }
+  void on_window_open(std::uint64_t open_index) override {
+    log.push_back(Entry{true, open_index, 0, 0, 0});
+  }
+  std::vector<Entry> log;
+};
+
+std::vector<std::byte> serialized(WindowManager& mgr) {
+  durability::SnapshotWriter w;
+  mgr.serialize(w);
+  return w.take();
+}
+
+// offer_dropped() must leave the manager exactly as offer() followed by no
+// keep() does -- the pending kept-feed record included -- so a snapshot
+// taken after any event is byte-identical between the two twins.  About
+// two in three events are dropped everywhere; the rest keep a hashed subset
+// of their windows, so the state under comparison is never trivial.
+// Closed windows are drained every third event, so snapshots also carry
+// closed-but-undrained windows.
+TEST(WindowOracle, OfferDroppedSerializesLikeOfferWithoutKeep) {
+  const std::uint64_t seed = test_support::test_seed(131);
+  SCOPED_TRACE(test_support::seed_trace(seed));
+  const auto events = random_stream(seed, 400);
+  for (const WindowSpan span :
+       {WindowSpan::kTime, WindowSpan::kCount, WindowSpan::kPredicate}) {
+    for (const WindowOpen open :
+         {WindowOpen::kPredicate, WindowOpen::kCountSlide}) {
+      SCOPED_TRACE("span " + std::to_string(static_cast<int>(span)) +
+                   " open " + std::to_string(static_cast<int>(open)));
+      const WindowSpec spec = make_spec(span, open);
+      WindowManager offered(spec);
+      WindowManager dropped(spec);
+      RecordingFeed offered_feed;
+      RecordingFeed dropped_feed;
+      offered.set_kept_feed(&offered_feed);
+      dropped.set_kept_feed(&dropped_feed);
+      std::vector<Window> offered_closed;
+      std::vector<Window> dropped_closed;
+      std::size_t dead_events = 0;
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        const Event& e = events[i];
+        if (should_drop(e, /*window=*/0, 3, 0)) {
+          ++dead_events;
+          const std::size_t memberships = offered.offer(e).size();
+          ASSERT_EQ(dropped.offer_dropped(e), memberships) << "event " << i;
+        } else {
+          for (WindowManager* mgr : {&offered, &dropped}) {
+            for (const auto& m : mgr->offer(e)) {
+              if (!should_drop(e, m.window, 2, 1)) mgr->keep(m, e);
+            }
+          }
+        }
+        if (i % 3 == 0) {
+          for (const auto& w : offered.drain_closed()) {
+            offered_closed.push_back(materialize(w));
+          }
+          for (const auto& w : dropped.drain_closed()) {
+            dropped_closed.push_back(materialize(w));
+          }
+        }
+        ASSERT_EQ(serialized(offered), serialized(dropped)) << "event " << i;
+      }
+      offered.close_all();
+      dropped.close_all();
+      for (const auto& w : offered.drain_closed()) {
+        offered_closed.push_back(materialize(w));
+      }
+      for (const auto& w : dropped.drain_closed()) {
+        dropped_closed.push_back(materialize(w));
+      }
+      EXPECT_GT(dead_events, events.size() / 2);
+      ASSERT_FALSE(offered_closed.empty());
+      ASSERT_EQ(dropped_closed.size(), offered_closed.size());
+      for (std::size_t k = 0; k < offered_closed.size(); ++k) {
+        expect_same_window(dropped_closed[k], offered_closed[k], k);
+      }
+      EXPECT_FALSE(offered_feed.log.empty());
+      EXPECT_TRUE(dropped_feed.log == offered_feed.log);
+    }
+  }
 }
 
 // The headline memory property: with heavy overlap (slide << span) and

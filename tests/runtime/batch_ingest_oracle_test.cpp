@@ -90,10 +90,18 @@ class HashShedder final : public Shedder {
   unsigned mod_;
 };
 
+/// Types whose UT rows stay live in make_armed_espice's dead-row model.
+constexpr EventTypeId kLiveTypeA = 0;
+constexpr EventTypeId kLiveTypeB = 3;
+
 /// A pre-armed eSPICE shedder (fixed model, fixed seed, active command):
 /// deterministic given construction order, and it exercises the flat-array
-/// score_block() path differentially at engine level.
-std::unique_ptr<Shedder> make_armed_espice(std::uint64_t seed) {
+/// score_block() path differentially at engine level.  `dead_rows` zeroes
+/// every UT row but kLiveTypeA's and kLiveTypeB's -- the shape train_model
+/// produces for types that never took part in a match -- so events of the
+/// other four types take the pipeline's drops_everywhere() early-out.
+std::unique_ptr<Shedder> make_armed_espice(std::uint64_t seed,
+                                           bool dead_rows = false) {
   // N = 24 positions at bin size 2 -> 12 UT columns per type.
   std::vector<std::uint8_t> ut(kNumTypes * 12);
   std::vector<double> shares(kNumTypes * 12);
@@ -101,6 +109,8 @@ std::unique_ptr<Shedder> make_armed_espice(std::uint64_t seed) {
   for (std::size_t i = 0; i < ut.size(); ++i) {
     ut[i] = static_cast<std::uint8_t>(rng.uniform_int(101));
     shares[i] = rng.uniform();
+    const auto type = static_cast<EventTypeId>(i / 12);
+    if (dead_rows && type != kLiveTypeA && type != kLiveTypeB) ut[i] = 0;
   }
   auto model = std::make_shared<UtilityModel>(kNumTypes, 24, /*bin_size=*/2,
                                               std::move(ut), std::move(shares));
@@ -124,7 +134,7 @@ ShardQuery make_query(const WindowSpec& spec) {
   return q;
 }
 
-enum class ShedKind { kNone, kHash, kEspice };
+enum class ShedKind { kNone, kHash, kEspice, kEspiceDeadRows };
 
 StreamEngineConfig make_config(const WindowSpec& spec, std::size_t shards,
                                ShedKind shed) {
@@ -140,6 +150,10 @@ StreamEngineConfig make_config(const WindowSpec& spec, std::size_t shards,
   } else if (shed == ShedKind::kEspice) {
     config.shedder_factory = [](std::size_t shard) {
       return make_armed_espice(0xe5e + shard);
+    };
+  } else if (shed == ShedKind::kEspiceDeadRows) {
+    config.shedder_factory = [](std::size_t shard) {
+      return make_armed_espice(0xe5e + shard, /*dead_rows=*/true);
     };
   }
   return config;
@@ -253,8 +267,9 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(WindowSpan::kTime, WindowSpan::kCount,
                           WindowSpan::kPredicate),
         ::testing::Values(WindowOpen::kPredicate, WindowOpen::kCountSlide),
-        // keep everything / hash-shed / armed eSPICE (flat score_block)
-        ::testing::Values(0, 1, 2),
+        // keep everything / hash-shed / armed eSPICE (flat score_block) /
+        // armed eSPICE with dead rows (drops_everywhere early-out)
+        ::testing::Values(0, 1, 2, 3),
         ::testing::Values(std::size_t{7}, std::size_t{256}),
         ::testing::Values(17u)));
 

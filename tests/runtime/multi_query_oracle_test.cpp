@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/espice_shedder.hpp"
 #include "runtime/stream_engine.hpp"
 #include "sim/sharded_sim.hpp"
 #include "support/test_seed.hpp"
@@ -67,6 +68,37 @@ class HashShedder final : public Shedder {
   unsigned mod_;
   unsigned salt_;
 };
+
+/// A pre-armed eSPICE shedder over spec_from_pool(0)'s N = 24 whose model
+/// keeps live UT rows for types 0 and 3 only -- the shape train_model
+/// produces for types that never took part in a match -- so events of the
+/// other types take the pipeline's per-query drops_everywhere() early-out.
+/// RNG-free (no exact amount, no exploration), hence deterministic per
+/// shard like HashShedder.
+std::unique_ptr<Shedder> make_dead_row_espice(std::uint64_t seed) {
+  // N = 24 positions at bin size 2 -> 12 UT columns per type.
+  std::vector<std::uint8_t> ut(kNumTypes * 12, 0);
+  std::vector<double> shares(kNumTypes * 12);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < ut.size(); ++i) {
+    const std::size_t type = i / 12;
+    if (type == 0 || type == 3) {
+      ut[i] = static_cast<std::uint8_t>(rng.uniform_int(101));
+    }
+    shares[i] = rng.uniform();
+  }
+  auto model = std::make_shared<UtilityModel>(kNumTypes, 24, /*bin_size=*/2,
+                                              std::move(ut), std::move(shares));
+  auto shedder = std::make_unique<EspiceShedder>(std::move(model),
+                                                 /*exact_amount=*/false,
+                                                 /*seed=*/seed);
+  DropCommand cmd;
+  cmd.active = true;
+  cmd.x = 3.0;
+  cmd.partitions = 3;
+  shedder->on_command(cmd);
+  return shedder;
+}
 
 /// Small pool of window specs; smaller than the largest query count so a
 /// random query set always exercises window *sharing* (same spec -> one
@@ -238,31 +270,42 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Five queries over ONE shared window spec with five different shedders:
 // the hardest sharing case (every query in one mask group, all keep sets
-// different).  Heavier stream than the randomized sweep.
+// different).  Heavier stream than the randomized sweep.  The second input
+// gives queries 1 and 3 dead-row eSPICE shedders, so members of the
+// diverging group take the per-query drops_everywhere() early-out.
 TEST(MultiQueryOracle, SharedGroupDistinctShedders) {
   const std::uint64_t seed = test_support::test_seed(93);
   SCOPED_TRACE(test_support::seed_trace(seed));
   const auto events = random_stream(seed, 4000);
 
-  std::vector<EngineQuery> queries;
-  for (std::size_t i = 0; i < 5; ++i) {
-    EngineQuery q;
-    q.name = "shared" + std::to_string(i);
-    q.query.pattern = make_sequence(
-        {element("up", TypeSet{}, DirectionFilter::kRising),
-         element("down", TypeSet{}, DirectionFilter::kFalling)});
-    q.query.window = spec_from_pool(0);  // all five share one group
-    q.predicted_ws = 24.0;
-    if (i > 0) {
-      const unsigned mod = 1 + static_cast<unsigned>(i);
-      const auto salt = static_cast<unsigned>(i);
-      q.shedder_factory = [mod, salt](std::size_t) {
-        return std::make_unique<HashShedder>(mod, salt);
-      };
+  for (const bool dead_row_espice : {false, true}) {
+    SCOPED_TRACE(dead_row_espice ? "dead-row eSPICE on queries 1 and 3"
+                                 : "hash shedders");
+    std::vector<EngineQuery> queries;
+    for (std::size_t i = 0; i < 5; ++i) {
+      EngineQuery q;
+      q.name = "shared" + std::to_string(i);
+      q.query.pattern = make_sequence(
+          {element("up", TypeSet{}, DirectionFilter::kRising),
+           element("down", TypeSet{}, DirectionFilter::kFalling)});
+      q.query.window = spec_from_pool(0);  // all five share one group
+      q.predicted_ws = 24.0;
+      if (dead_row_espice && (i == 1 || i == 3)) {
+        const std::uint64_t model_seed = 0xd1e0 + 16 * i;
+        q.shedder_factory = [model_seed](std::size_t shard) {
+          return make_dead_row_espice(model_seed + shard);
+        };
+      } else if (i > 0) {
+        const unsigned mod = 1 + static_cast<unsigned>(i);
+        const auto salt = static_cast<unsigned>(i);
+        q.shedder_factory = [mod, salt](std::size_t) {
+          return std::make_unique<HashShedder>(mod, salt);
+        };
+      }
+      queries.push_back(std::move(q));
     }
-    queries.push_back(std::move(q));
+    run_oracle_case(events, queries, 4);
   }
-  run_oracle_case(events, queries, 4);
 }
 
 // Legacy single-query configs must keep their exact pre-multi-query
@@ -296,51 +339,66 @@ TEST(MultiQueryOracle, LegacySingleQueryConfigUnchanged) {
 // Per-query report counters must be self-consistent: decisions cover every
 // offered membership of the query's window group, kept + drops == decisions
 // when a shedder is present, and the engine-level aggregate equals the sum.
+// The second input adds dead-row eSPICE shedders on both shedding branches:
+// c1 inside the diverging shared group, and c3 alone in its own window
+// group (the single-query branch), so drops_everywhere()'s bulk count must
+// keep the counters whole.
 TEST(MultiQueryOracle, PerQueryCountersAreConsistent) {
   const std::uint64_t seed = test_support::test_seed(55);
   SCOPED_TRACE(test_support::seed_trace(seed));
   const auto events = random_stream(seed, 2000);
 
-  std::vector<EngineQuery> queries;
-  for (std::size_t i = 0; i < 3; ++i) {
-    EngineQuery q;
-    q.name = "c" + std::to_string(i);
-    q.query.pattern = make_sequence(
-        {element("up", TypeSet{}, DirectionFilter::kRising),
-         element("down", TypeSet{}, DirectionFilter::kFalling)});
-    q.query.window = spec_from_pool(0);
-    q.predicted_ws = 24.0;
-    const unsigned mod = 2 + static_cast<unsigned>(i);
-    const auto salt = static_cast<unsigned>(i);
-    q.shedder_factory = [mod, salt](std::size_t) {
-      return std::make_unique<HashShedder>(mod, salt);
-    };
-    queries.push_back(std::move(q));
-  }
+  for (const bool dead_row_espice : {false, true}) {
+    SCOPED_TRACE(dead_row_espice ? "dead-row eSPICE on c1 and c3"
+                                 : "hash shedders");
+    std::vector<EngineQuery> queries;
+    for (std::size_t i = 0; i < (dead_row_espice ? 4 : 3); ++i) {
+      EngineQuery q;
+      q.name = "c" + std::to_string(i);
+      q.query.pattern = make_sequence(
+          {element("up", TypeSet{}, DirectionFilter::kRising),
+           element("down", TypeSet{}, DirectionFilter::kFalling)});
+      q.query.window = spec_from_pool(i == 3 ? 3 : 0);
+      q.predicted_ws = 24.0;
+      if (dead_row_espice && (i == 1 || i == 3)) {
+        const std::uint64_t model_seed = 0xc0de + 16 * i;
+        q.shedder_factory = [model_seed](std::size_t shard) {
+          return make_dead_row_espice(model_seed + shard);
+        };
+      } else {
+        const unsigned mod = 2 + static_cast<unsigned>(i);
+        const auto salt = static_cast<unsigned>(i);
+        q.shedder_factory = [mod, salt](std::size_t) {
+          return std::make_unique<HashShedder>(mod, salt);
+        };
+      }
+      queries.push_back(std::move(q));
+    }
 
-  StreamEngineConfig config;
-  config.shards = 2;
-  config.ring_capacity = 256;
-  StreamEngine engine(config);
-  for (const EngineQuery& q : queries) engine.add_query(q);
-  for (const Event& e : events) engine.push(e);
-  const EngineReport report = engine.finish();
+    StreamEngineConfig config;
+    config.shards = 2;
+    config.ring_capacity = 256;
+    StreamEngine engine(config);
+    for (const EngineQuery& q : queries) engine.add_query(q);
+    for (const Event& e : events) engine.push(e);
+    const EngineReport report = engine.finish();
 
-  std::uint64_t total_decisions = 0, total_drops = 0;
-  for (const auto& qr : report.queries) {
-    EXPECT_EQ(qr.shed_decisions, qr.memberships) << qr.name;
-    EXPECT_EQ(qr.memberships_kept + qr.shed_drops, qr.shed_decisions)
-        << qr.name;
-    total_decisions += qr.shed_decisions;
-    total_drops += qr.shed_drops;
+    std::uint64_t total_decisions = 0, total_drops = 0;
+    for (const auto& qr : report.queries) {
+      EXPECT_EQ(qr.shed_decisions, qr.memberships) << qr.name;
+      EXPECT_EQ(qr.memberships_kept + qr.shed_drops, qr.shed_decisions)
+          << qr.name;
+      total_decisions += qr.shed_decisions;
+      total_drops += qr.shed_drops;
+    }
+    std::uint64_t shard_decisions = 0, shard_drops = 0;
+    for (const auto& s : report.shards) {
+      shard_decisions += s.shed_decisions;
+      shard_drops += s.shed_drops;
+    }
+    EXPECT_EQ(shard_decisions, total_decisions);
+    EXPECT_EQ(shard_drops, total_drops);
   }
-  std::uint64_t shard_decisions = 0, shard_drops = 0;
-  for (const auto& s : report.shards) {
-    shard_decisions += s.shed_decisions;
-    shard_drops += s.shed_drops;
-  }
-  EXPECT_EQ(shard_decisions, total_decisions);
-  EXPECT_EQ(shard_drops, total_drops);
 }
 
 }  // namespace
