@@ -314,8 +314,7 @@ class WindowManager {
   /// memberships offered (all of them kept).
   ///
   /// Shedding callers cannot use this (decisions are per membership); the
-  /// no-shedder engine pipeline, and the sizing/training phases of the
-  /// adaptive operators, are all-keep and batch through here.
+  /// no-shedder engine pipeline is all-keep and batches through here.
   std::uint64_t offer_keep_all_block(std::span<const Event> block,
                                      QueryMask mask = ~QueryMask{0});
 
@@ -324,9 +323,8 @@ class WindowManager {
   /// the next `close_free_horizon() - 1` events closes nothing.  Exact for
   /// count-span specs (window closings are index-arithmetic there); a
   /// conservative 1 for time/predicate spans, where any event may close.
-  /// Batched operator hosts chunk blocks with this so phase transitions
-  /// (which trigger on window closings) happen at the same event as in
-  /// per-event execution.
+  /// Batched hosts chunk blocks with this so work that triggers on window
+  /// closings happens at the same event as in per-event execution.
   std::uint64_t close_free_horizon() const;
 
   /// Attaches the stream-level kept-event feed (nullptr detaches).  Must be

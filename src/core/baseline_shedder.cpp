@@ -7,8 +7,8 @@
 
 namespace espice {
 
-std::vector<double> BaselineShedder::pattern_repetitions(const Pattern& pattern,
-                                                         std::size_t num_types) {
+std::vector<double> BaselineShedder::pattern_repetitions(
+    const Pattern& pattern, std::size_t num_types) {
   std::vector<double> reps(num_types, 0.0);
   auto add_element = [&](const TypeSet& types) {
     if (types.is_any()) {
@@ -20,7 +20,9 @@ std::vector<double> BaselineShedder::pattern_repetitions(const Pattern& pattern,
     }
   };
   for (const ElementSpec& el : pattern.elements) add_element(el.types);
-  if (pattern.kind == PatternKind::kTriggerAny) add_element(pattern.any_candidates);
+  if (pattern.kind == PatternKind::kTriggerAny) {
+    add_element(pattern.any_candidates);
+  }
   return reps;
 }
 

@@ -8,7 +8,8 @@ namespace espice {
 namespace {
 
 // Jensen-Shannon divergence between two normalized distributions, in bits.
-double js_divergence(const std::vector<double>& p, const std::vector<double>& q) {
+double js_divergence(const std::vector<double>& p,
+                     const std::vector<double>& q) {
   ESPICE_ASSERT(p.size() == q.size(), "distribution size mismatch");
   auto kl_to_mixture = [&](const std::vector<double>& a,
                            const std::vector<double>& b) {

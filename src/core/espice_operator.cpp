@@ -1,7 +1,6 @@
 #include "core/espice_operator.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <span>
 
 namespace espice {
 
@@ -9,46 +8,16 @@ EspiceOperator::EspiceOperator(EspiceOperatorConfig config,
                                MatchCallback on_match)
     : config_(std::move(config)),
       on_match_(std::move(on_match)),
-      matcher_(config_.pattern, config_.selection, config_.consumption,
-               config_.max_matches_per_window),
-      feed_(&matcher_),
-      windows_(config_.window),
-      detector_([&] {
-        // The detector's window size is refined once N is known; seed it
-        // with something valid.
-        auto d = config_.detector;
-        d.window_size_events = std::max<std::size_t>(d.window_size_events, 1);
-        return d;
-      }()) {
-  config_.validate();
+      query_{EngineQuery{"", adaptive_query(config_), nullptr, 0.0}},
+      controller_(config_),
+      pipeline_(query_, controller_.make_shedders(), nullptr,
+                [this](std::size_t q, const WindowView& view,
+                       std::span<const ComplexEvent> matches) {
+                  controller_.on_window(q, view, matches);
+                  matches_ += matches.size();
+                  for (const ComplexEvent& m : matches) on_match_(m);
+                }) {
   ESPICE_REQUIRE(on_match_ != nullptr, "match callback must be set");
-  // Ineligible configurations (last selection, negations, multi-match)
-  // always take the window scan at finalize(), and tumbling windows have
-  // no overlap to share runs across; feeding either would be pure
-  // per-event overhead.
-  if (matcher_.stream_incremental() && windows_can_overlap(config_.window)) {
-    windows_.set_kept_feed(&feed_);
-  }
-
-  // N known up front?  Count-based windows and explicit overrides skip the
-  // sizing phase.
-  std::size_t n = config_.n_positions;
-  if (n == 0 && config_.window.span_kind == WindowSpan::kCount) {
-    n = config_.window.span_events;
-  }
-  if (n > 0) {
-    begin_training(n);
-  }
-}
-
-void EspiceOperator::begin_training(std::size_t n_positions) {
-  ModelBuilderConfig mb;
-  mb.num_types = config_.num_types;
-  mb.n_positions = n_positions;
-  mb.bin_size = std::min(config_.bin_size, n_positions);
-  builder_.emplace(mb);
-  predicted_ws_ = static_cast<double>(n_positions);
-  phase_ = Phase::kTraining;
 }
 
 void EspiceOperator::push(const Event& e) {
@@ -59,166 +28,39 @@ void EspiceOperator::push(const Event& e) {
   // (model statistics, utility lookups) indexes arrays by type.  Once per
   // event, not per membership, so the cost is irrelevant.
   ESPICE_REQUIRE(e.type < config_.num_types, "event type outside the universe");
-  auto& memberships = windows_.offer(e);
-  ++events_;
-  memberships_ += memberships.size();
-  if (phase_ != Phase::kShedding) {
-    for (const auto& m : memberships) {
-      windows_.keep(m, e);
-      ++memberships_kept_;
-    }
-  } else if (!memberships.empty()) {
-    const std::size_t mcount = memberships.size();
-    pos_scratch_.resize(mcount);
-    for (std::size_t i = 0; i < mcount; ++i) {
-      pos_scratch_[i] = memberships[i].position;
-    }
-    // Statistics are fed *pre-drop* so the position shares (and the drift
-    // reference) stay unbiased by the shedder's own decisions.
-    for (std::size_t i = 0; i < mcount; ++i) {
-      builder_->observe_position(e.type, pos_scratch_[i], predicted_ws_);
-      if (drift_ && drift_->observe(e, pos_scratch_[i], predicted_ws_)) {
-        drift_pending_ = true;  // retrain after this event's routing
-      }
-    }
-    // One block-scoring call decides the whole membership set (identical
-    // decisions, in order, to per-membership should_drop()).
-    keep_bits_.resize(keep_bitmap_words(mcount));
-    shedder_->score_block(e, pos_scratch_.data(), mcount, predicted_ws_,
-                          keep_bits_.data());
-    for (std::size_t i = 0; i < mcount; ++i) {
-      if (keep_bit(keep_bits_.data(), i)) {
-        windows_.keep(memberships[i], e);
-        ++memberships_kept_;
-      }
-    }
-  }
-  close_windows();
-  if (drift_pending_) {
-    drift_pending_ = false;
-    retrain();
-  }
-}
-
-void EspiceOperator::close_windows() {
-  for (const WindowView& w : windows_.drain_closed()) {
-    ++windows_closed_;
-    const auto matches = matcher_.finalize(w);
-    matches_ += matches.size();
-    switch (phase_) {
-      case Phase::kSizing: {
-        sizing_size_sum_ += static_cast<double>(w.size());
-        if (++sizing_count_ >= config_.sizing_windows) {
-          const auto n = static_cast<std::size_t>(std::max<long>(
-              1, std::lround(sizing_size_sum_ /
-                             static_cast<double>(sizing_count_))));
-          begin_training(n);
-        }
-        break;
-      }
-      case Phase::kTraining: {
-        builder_->observe_window(w);
-        for (const auto& m : matches) builder_->observe_match(m, w.size());
-        if (builder_->windows_observed() >= config_.training_windows) {
-          build_and_arm();
-        }
-        break;
-      }
-      case Phase::kShedding: {
-        // Positions were already fed pre-drop in push(); only the window
-        // count and the match evidence are recorded here.
-        builder_->count_window();
-        for (const auto& m : matches) builder_->observe_match(m, w.size());
-        if (config_.rebuild_every_windows > 0 &&
-            ++windows_since_rebuild_ >= config_.rebuild_every_windows) {
-          refresh_model(/*rebase_drift=*/false);
-        }
-        break;
-      }
-    }
-    for (const auto& m : matches) on_match_(m);
-  }
-}
-
-void EspiceOperator::build_and_arm() {
-  auto model = builder_->build();
-  // Refine the detector's notion of the window size (rho / psize).
-  auto detector_config = config_.detector;
-  detector_config.window_size_events = model->n_positions();
-  detector_ = OverloadDetector(detector_config);
-  shedder_ = std::make_unique<EspiceShedder>(model, config_.exact_amount);
-  shedder_->set_exploration(config_.exploration);
-  if (config_.drift_retraining) {
-    drift_.emplace(*model, config_.drift);
-  }
-  phase_ = Phase::kShedding;
-}
-
-void EspiceOperator::refresh_model(bool rebase_drift) {
-  auto model = builder_->build();
-  shedder_->set_model(model);
-  // Periodic refreshes keep the drift reference (and its batch state)
-  // untouched: the reference tracks what the *original* training saw until
-  // an actual drift retrain rebases it.
-  if (rebase_drift && drift_) drift_->rebase(*model);
-  windows_since_rebuild_ = 0;
-}
-
-void EspiceOperator::retrain() {
-  ESPICE_ASSERT(phase_ == Phase::kShedding, "retrain before model exists");
-  // Old evidence fades so the recent batches the drift detector flagged
-  // dominate the rebuilt model.
-  builder_->decay(config_.retrain_decay);
-  refresh_model(/*rebase_drift=*/true);
-  ++retrains_;
+  pipeline_.process_data_block(std::span(&e, 1), counters_);
+  controller_.retrain_if_drifted();
+  pipeline_.query_matches[0].clear();  // delivered by the observer
 }
 
 void EspiceOperator::finish() {
-  windows_.close_all();
-  close_windows();
-}
-
-void EspiceOperator::observe_cost(double seconds) {
-  detector_.observe_processing_cost(seconds);
+  pipeline_.close_all(counters_);
+  pipeline_.query_matches[0].clear();
 }
 
 void EspiceOperator::on_tick(double /*now*/, std::size_t queue_size) {
-  if (phase_ != Phase::kShedding) return;
-  const DropCommand cmd = detector_.tick(queue_size);
-  shedder_->on_command(cmd);
-}
-
-bool EspiceOperator::shedding_active() const {
-  return phase_ == Phase::kShedding && shedder_->active();
-}
-
-const UtilityModel* EspiceOperator::model() const {
-  return shedder_ ? &shedder_->model() : nullptr;
+  controller_.on_tick(queue_size);
 }
 
 std::uint64_t EspiceOperator::drops() const {
-  return shedder_ ? shedder_->drops() : 0;
+  return pipeline_.outcome(0).shed_drops;
 }
 
 std::uint64_t EspiceOperator::decisions() const {
-  return shedder_ ? shedder_->decisions() : 0;
-}
-
-std::size_t EspiceOperator::windows_observed() const {
-  return builder_ ? builder_->windows_observed() : sizing_count_;
+  return pipeline_.outcome(0).shed_decisions;
 }
 
 OperatorStats EspiceOperator::stats() const {
   OperatorStats s;
-  s.phase = phase_;
-  s.events = events_;
-  s.memberships = memberships_;
-  s.memberships_kept = memberships_kept_;
-  s.windows_closed = windows_closed_;
+  s.phase = phase();
+  s.events = counters_.events;
+  s.memberships = counters_.memberships;
+  s.memberships_kept = counters_.memberships_kept;
+  s.windows_closed = counters_.windows_closed;
   s.matches = matches_;
   s.decisions = decisions();
   s.drops = drops();
-  s.retrains = retrains_;
+  s.retrains = retrains();
   s.windows_observed = windows_observed();
   s.shedding_active = shedding_active();
   return s;

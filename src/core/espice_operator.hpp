@@ -4,9 +4,7 @@
 // training and measurement passes over a stored stream.  A production host
 // embeds eSPICE differently: one object consumes the live stream, trains
 // itself, starts shedding when the host's input queue grows, and retrains
-// when the stream drifts.  This class wires WindowManager + Matcher +
-// ModelBuilder + OverloadDetector + EspiceShedder + DriftDetector into that
-// lifecycle:
+// when the stream drifts:
 //
 //   EspiceOperator op(config, [](const ComplexEvent& ce) { ... });
 //   loop:
@@ -14,85 +12,36 @@
 //     op.observe_cost(seconds);        // measured processing cost (optional)
 //     every tick: op.on_tick(queue_size);
 //
-// Lifecycle:
-//  * kSizing: the first windows only measure the average window size N
-//    (skipped for count-based windows, where N is the span),
-//  * kTraining: statistics accumulate until `training_windows` windows were
-//    observed, then the utility model is built and shedding becomes armed,
-//  * kShedding: drop decisions follow the overload detector's commands; the
-//    model keeps learning from detected matches, the drift detector watches
-//    the input composition and triggers decay + rebuild on drift.
+// The operator is a thin host: one single-query DetPipeline (windows,
+// shedder slot, incremental matcher; runtime/shard_pipeline.hpp) driven by
+// one AdaptiveController (core/adaptive_controller.hpp), which runs the
+// sizing -> training -> shedding lifecycle, the overload detector and drift
+// retraining.  push() runs one event through the pipeline, so phase flips,
+// rebuilds and retrains land on the event that triggers them, and matches
+// reach the callback as their windows close.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
+#include <vector>
 
-#include "cep/incremental_matcher.hpp"
-#include "cep/pattern.hpp"
-#include "cep/window.hpp"
-#include "core/drift_detector.hpp"
-#include "core/espice_shedder.hpp"
-#include "core/model_builder.hpp"
-#include "core/overload_detector.hpp"
+#include "core/adaptive_controller.hpp"
+#include "runtime/shard_pipeline.hpp"
 
 namespace espice {
-
-struct EspiceOperatorConfig {
-  // --- query ---------------------------------------------------------------
-  Pattern pattern;
-  WindowSpec window;
-  SelectionPolicy selection = SelectionPolicy::kFirst;
-  ConsumptionPolicy consumption = ConsumptionPolicy::kConsumed;
-  std::size_t max_matches_per_window = 1;
-
-  // --- model ---------------------------------------------------------------
-  std::size_t num_types = 0;       ///< M: event-type universe size
-  std::size_t bin_size = 1;        ///< bs
-  std::size_t n_positions = 0;     ///< N; 0 = derive (sizing phase / span)
-  std::size_t sizing_windows = 100;   ///< windows used to estimate N
-  std::size_t training_windows = 500; ///< windows before the model is built
-
-  // --- control plane ---------------------------------------------------------
-  OverloadDetectorConfig detector;  ///< window_size_events is filled in
-  bool exact_amount = false;        ///< see EspiceShedder
-
-  // --- retraining ------------------------------------------------------------
-  bool drift_retraining = true;
-  DriftDetectorConfig drift;
-  /// Decay applied to the accumulated statistics when drift triggers a
-  /// rebuild (old evidence fades, recent evidence dominates).
-  double retrain_decay = 0.1;
-  /// Fraction of would-be-dropped events kept for relearning (see
-  /// EspiceShedder::set_exploration).  Without exploration, a drifted cell
-  /// that the stale model sheds can never regain match evidence.
-  double exploration = 0.05;
-  /// Rebuild the shedder's model from the accumulated statistics every this
-  /// many closed windows while shedding (0 = only on drift triggers).
-  std::size_t rebuild_every_windows = 2000;
-
-  void validate() const {
-    ESPICE_REQUIRE(num_types > 0, "num_types must be set");
-    ESPICE_REQUIRE(training_windows > 0, "training_windows must be positive");
-    ESPICE_REQUIRE(retrain_decay > 0.0 && retrain_decay <= 1.0,
-                   "retrain_decay must be in (0, 1]");
-    window.validate();
-  }
-};
 
 struct OperatorStats;
 
 class EspiceOperator {
  public:
-  enum class Phase { kSizing, kTraining, kShedding };
+  using Phase = AdaptiveController::Phase;
 
   using MatchCallback = std::function<void(const ComplexEvent&)>;
 
   EspiceOperator(EspiceOperatorConfig config, MatchCallback on_match);
 
-  // The window manager's kept feed points at this object's matcher; moving
-  // the operator would dangle it.
+  // The pipeline points at this object's controller and callback; moving
+  // the operator would dangle them.
   EspiceOperator(const EspiceOperator&) = delete;
   EspiceOperator& operator=(const EspiceOperator&) = delete;
 
@@ -106,69 +55,41 @@ class EspiceOperator {
 
   /// Host signal: measured processing cost of one event (seconds).  Feeds
   /// the overload detector's l(p) estimate.
-  void observe_cost(double seconds);
+  void observe_cost(double seconds) { controller_.observe_cost(seconds); }
 
   /// Host signal: current input-queue size; call periodically (every
-  /// detector tick period).  Also feeds the arrival-rate estimate through
-  /// `now` (the host's clock, seconds).
+  /// detector tick period).  `now` is the host's clock (seconds); the
+  /// arrival-rate estimate comes from observe_arrival().
   void on_tick(double now, std::size_t queue_size);
 
   /// Host signal: one event arrived at `ts` (for the rate estimate).
-  void observe_arrival(double ts) { detector_.observe_arrival(ts); }
+  void observe_arrival(double ts) { controller_.observe_arrival(ts); }
 
   // --- introspection ---------------------------------------------------------
-  Phase phase() const { return phase_; }
-  bool shedding_active() const;
+  Phase phase() const { return controller_.phase(); }
+  bool shedding_active() const { return controller_.shedding_active(); }
   /// nullptr until training completes.
-  const UtilityModel* model() const;
+  const UtilityModel* model() const { return controller_.model(0); }
   std::uint64_t drops() const;
   std::uint64_t decisions() const;
-  std::size_t retrains() const { return retrains_; }
-  std::size_t windows_observed() const;
-  /// One-call snapshot of every lifetime counter; what an embedding host
-  /// (e.g. the sharded StreamEngine's merge stage) reports per operator.
+  std::size_t retrains() const { return controller_.retrains(); }
+  std::size_t windows_observed() const {
+    return controller_.windows_observed();
+  }
+  /// One-call snapshot of every lifetime counter.
   OperatorStats stats() const;
 
  private:
-  void close_windows();
-  void begin_training(std::size_t n_positions);
-  void build_and_arm();
-  void refresh_model(bool rebase_drift);
-  void retrain();
-
   EspiceOperatorConfig config_;
   MatchCallback on_match_;
-  /// Stream-level matcher: kept events advance runs at offer time (fed by
-  /// the window manager's KeptFeed); window close is a finalize lookup.
-  IncrementalMatcher matcher_;
-  MatcherFeed feed_;
-  WindowManager windows_;
-  OverloadDetector detector_;
-
-  Phase phase_ = Phase::kSizing;
-  std::size_t sizing_count_ = 0;
-  double sizing_size_sum_ = 0.0;
-
-  std::optional<ModelBuilder> builder_;
-  std::unique_ptr<EspiceShedder> shedder_;
-  std::optional<DriftDetector> drift_;
-  /// Block-scoring scratch (one event's membership positions / keep bits).
-  std::vector<std::uint32_t> pos_scratch_;
-  std::vector<std::uint64_t> keep_bits_;
-  double predicted_ws_ = 0.0;
-  std::size_t retrains_ = 0;
-  std::size_t windows_since_rebuild_ = 0;
-  bool drift_pending_ = false;
-
-  // Lifetime counters (see stats()).
-  std::uint64_t events_ = 0;
-  std::uint64_t memberships_ = 0;
-  std::uint64_t memberships_kept_ = 0;
-  std::uint64_t windows_closed_ = 0;
+  std::vector<EngineQuery> query_;
+  AdaptiveController controller_;
+  DetPipeline pipeline_;
+  ShardStats counters_;
   std::uint64_t matches_ = 0;
 };
 
-/// Final stat snapshot of one operator (hosts aggregate these across shards).
+/// Final stat snapshot of one operator.
 struct OperatorStats {
   EspiceOperator::Phase phase = EspiceOperator::Phase::kSizing;
   std::uint64_t events = 0;

@@ -128,8 +128,8 @@ void EspiceShedder::rebuild_ut_flat() {
   row_max_.assign(types, 0);
   for (std::size_t t = 0; t < types; ++t) {
     for (std::size_t p = 0; p < n; ++p) {
-      const auto u = static_cast<std::uint8_t>(
-          model_->utility_cell(static_cast<EventTypeId>(t), p / model_->bin_size()));
+      const auto u = static_cast<std::uint8_t>(model_->utility_cell(
+          static_cast<EventTypeId>(t), p / model_->bin_size()));
       ut_flat_[t * n + p] = u;
       row_max_[t] = std::max(row_max_[t], u);
     }

@@ -157,7 +157,7 @@ class EspiceShedder final : public Shedder {
   std::vector<double> pos_boundary_;        ///< boundary drop of its partition
   std::vector<std::uint8_t> row_max_;       ///< [type] largest UT cell
   int min_threshold_ = 0;                   ///< smallest partition threshold
-  double n_as_ws_ = 0.0;                    ///< N as a double (ws fast-path key)
+  double n_as_ws_ = 0.0;                    ///< N as a double (ws fast path)
   /// Flat index space fits the kernel's signed 32-bit gather indices
   /// (set by rebuild_ut_flat; practically always true).
   bool flat_simd_ok_ = false;

@@ -83,7 +83,8 @@ void ModelBuilder::observe_match(const ComplexEvent& ce, std::size_t ws) {
 }
 
 void ModelBuilder::decay(double factor) {
-  ESPICE_REQUIRE(factor > 0.0 && factor <= 1.0, "decay factor must be in (0, 1]");
+  ESPICE_REQUIRE(factor > 0.0 && factor <= 1.0,
+                 "decay factor must be in (0, 1]");
   for (double& v : match_counts_) v *= factor;
   for (double& v : pos_counts_) v *= factor;
   windows_weight_ *= factor;

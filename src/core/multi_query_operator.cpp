@@ -1,59 +1,60 @@
 #include "core/multi_query_operator.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "durability/serial.hpp"
 
 namespace espice {
+
+namespace {
+
+std::vector<EngineQuery> engine_queries(const MultiQueryOperatorConfig& c) {
+  std::vector<EngineQuery> out;
+  out.reserve(c.queries.size());
+  for (const MultiQuerySpec& q : c.queries) {
+    EngineQuery eq;
+    eq.name = q.name;
+    eq.query = ShardQuery{q.pattern, c.window, q.selection, q.consumption,
+                          q.max_matches_per_window};
+    out.push_back(std::move(eq));
+  }
+  return out;
+}
+
+/// The controller settings of a multi-query config (no drift detector).
+EspiceOperatorConfig controller_config(const MultiQueryOperatorConfig& c) {
+  c.validate();
+  EspiceOperatorConfig a;
+  a.window = c.window;
+  a.num_types = c.num_types;
+  a.bin_size = c.bin_size;
+  a.n_positions = c.n_positions;
+  a.sizing_windows = c.sizing_windows;
+  a.training_windows = c.training_windows;
+  a.detector = c.detector;
+  a.exact_amount = c.exact_amount;
+  a.drift_retraining = false;
+  a.exploration = c.exploration;
+  a.rebuild_every_windows = c.rebuild_every_windows;
+  return a;
+}
+
+}  // namespace
 
 MultiQueryOperator::MultiQueryOperator(MultiQueryOperatorConfig config,
                                        MatchCallback on_match)
     : config_(std::move(config)),
       on_match_(std::move(on_match)),
-      windows_(config_.window, /*track_masks=*/true),
-      detector_([&] {
-        auto d = config_.detector;
-        d.window_size_events = std::max<std::size_t>(d.window_size_events, 1);
-        return d;
-      }()) {
-  config_.validate();
+      queries_(engine_queries(config_)),
+      controller_(controller_config(config_), config_.queries.size(),
+                  config_.query_weights),
+      pipeline_(queries_, controller_.make_shedders(), nullptr,
+                [this](std::size_t q, const WindowView& view,
+                       std::span<const ComplexEvent> matches) {
+                  controller_.on_window(q, view, matches);
+                  matches_[q] += matches.size();
+                  for (const ComplexEvent& m : matches) on_match_(q, m);
+                }),
+      matches_(config_.queries.size(), 0) {
   ESPICE_REQUIRE(on_match_ != nullptr, "match callback must be set");
-
-  queries_.reserve(config_.queries.size());
-  for (const auto& q : config_.queries) {
-    queries_.emplace_back(IncrementalMatcher(
-        q.pattern, q.selection, q.consumption, q.max_matches_per_window));
-  }
-  bool any_incremental = false;
-  for (auto& q : queries_) {
-    feed_.add(&q.matcher);
-    any_incremental = any_incremental || q.matcher.stream_incremental();
-  }
-  // All-window-scan query sets take finalize()'s legacy path anyway, and
-  // tumbling windows have no overlap to share runs across; skip the
-  // per-event feed bookkeeping then.
-  if (any_incremental && windows_can_overlap(config_.window)) {
-    windows_.set_kept_feed(&feed_);
-  }
-
-  std::size_t n = config_.n_positions;
-  if (n == 0 && config_.window.span_kind == WindowSpan::kCount) {
-    n = config_.window.span_events;
-  }
-  if (n > 0) {
-    begin_training(n);
-  }
-}
-
-void MultiQueryOperator::begin_training(std::size_t n_positions) {
-  ModelBuilderConfig mb;
-  mb.num_types = config_.num_types;
-  mb.n_positions = n_positions;
-  mb.bin_size = std::min(config_.bin_size, n_positions);
-  for (auto& q : queries_) q.builder.emplace(mb);
-  predicted_ws_ = static_cast<double>(n_positions);
-  phase_ = Phase::kTraining;
 }
 
 void MultiQueryOperator::push(const Event& e) {
@@ -61,355 +62,70 @@ void MultiQueryOperator::push(const Event& e) {
   // event-time stage; a window-level operator ignores them.
   if (is_watermark(e)) return;
   ESPICE_REQUIRE(e.type < config_.num_types, "event type outside the universe");
-  if (phase_ != Phase::kShedding) {
-    // Sizing/training: every query keeps everything.
-    auto& memberships = windows_.offer(e);
-    ++events_;
-    memberships_ += memberships.size();
-    for (const auto& m : memberships) {
-      windows_.keep(m, e, all_queries_mask(queries_.size()));
-      ++memberships_kept_;
-    }
-  } else {
-    push_shedding(e);
-  }
-  close_windows();
-}
-
-void MultiQueryOperator::push_shedding(const Event& e) {
-  if (is_watermark(e)) return;
-  auto& memberships = windows_.offer(e);
-  ++events_;
-  const std::size_t mcount = memberships.size();
-  memberships_ += mcount;
-  if (mcount == 0) return;
-  pos_scratch_.resize(mcount);
-  for (std::size_t i = 0; i < mcount; ++i) {
-    pos_scratch_[i] = memberships[i].position;
-  }
-  const std::size_t words = keep_bitmap_words(mcount);
-  bits_scratch_.resize(words * queries_.size());
-  for (std::size_t q = 0; q < queries_.size(); ++q) {
-    // Position shares are fed *pre-drop* per query so they stay unbiased by
-    // the shedders' own decisions (same as EspiceOperator).
-    for (std::size_t i = 0; i < mcount; ++i) {
-      queries_[q].builder->observe_position(e.type, pos_scratch_[i],
-                                            predicted_ws_);
-    }
-    // One block-scoring call per query decides its whole membership set
-    // (identical decisions, in order, to per-membership should_drop()).
-    queries_[q].shedder->score_block(e, pos_scratch_.data(), mcount,
-                                     predicted_ws_,
-                                     bits_scratch_.data() + q * words);
-  }
-  // Transpose the per-query bitmaps into per-membership masks.
-  for (std::size_t i = 0; i < mcount; ++i) {
-    QueryMask mask = 0;
-    for (std::size_t q = 0; q < queries_.size(); ++q) {
-      if (keep_bit(bits_scratch_.data() + q * words, i)) {
-        mask |= QueryMask{1} << q;
-      }
-    }
-    // Every query shed it -> physical drop: never buffered, never matched.
-    if (mask != 0) {
-      windows_.keep(memberships[i], e, mask);
-      ++memberships_kept_;
-    }
-  }
+  pipeline_.process_data_block(std::span(&e, 1), counters_);
+  for (auto& list : pipeline_.query_matches) list.clear();  // delivered
 }
 
 void MultiQueryOperator::push_block(std::span<const Event> block) {
-  bool any_watermark = false;
   for (const Event& e : block) {
     ESPICE_REQUIRE(is_watermark(e) || e.type < config_.num_types,
                    "event type outside the universe");
-    if (is_watermark(e)) any_watermark = true;
   }
-  if (any_watermark) {
-    // Punctuations are control records the per-event path ignores; the
-    // bulk offer below must never route them into windows.  Rare (the
-    // engine's event-time stage consumes punctuations upstream), so the
-    // scalar path is fine.
-    for (const Event& e : block) push(e);
-    return;
-  }
-  std::size_t i = 0;
-  while (i < block.size()) {
-    if (phase_ == Phase::kShedding) {
-      // Shedding is the terminal phase: score the rest of the block.
-      // Windows are drained per event so a mid-block model refresh
-      // (rebuild_every_windows) lands exactly where per-event execution
-      // puts it.
-      for (; i < block.size(); ++i) {
-        push_shedding(block[i]);
-        close_windows();
-      }
-      return;
-    }
-    // Sizing/training: all-keep, so the window manager's bulk path applies.
-    // Chunk at the close horizon -- close_windows() can flip the phase at a
-    // window boundary, and the flip must take effect for the very next
-    // event, exactly as in per-event execution.
-    const auto chunk = static_cast<std::size_t>(std::min<std::uint64_t>(
-        block.size() - i, windows_.close_free_horizon()));
-    const std::uint64_t kept = windows_.offer_keep_all_block(
-        block.subspan(i, chunk), all_queries_mask(queries_.size()));
-    events_ += chunk;
-    memberships_ += kept;
-    memberships_kept_ += kept;
-    close_windows();
-    i += chunk;
-  }
-}
-
-void MultiQueryOperator::close_windows() {
-  for (const WindowView& w : windows_.drain_closed()) {
-    ++windows_closed_;
-    switch (phase_) {
-      case Phase::kSizing: {
-        sizing_size_sum_ += static_cast<double>(w.size());
-        ++sizing_count_;
-        break;
-      }
-      case Phase::kTraining:
-      case Phase::kShedding:
-        break;
-    }
-
-    const bool shedding = phase_ == Phase::kShedding;
-    for (std::size_t q = 0; q < queries_.size(); ++q) {
-      QueryState& state = queries_[q];
-      // During sizing/training every event carries an all-queries mask, so
-      // the unfiltered view is each query's view; filtering is only needed
-      // once per-query drops can differ.
-      const WindowView view =
-          shedding ? filter_view_for_query(w, q, state.filter_scratch) : w;
-      const auto matches = state.matcher.finalize(view);
-      state.matches += matches.size();
-      if (phase_ == Phase::kTraining) {
-        state.builder->observe_window(view);
-        for (const auto& m : matches) state.builder->observe_match(m, w.size());
-      } else if (shedding) {
-        // Positions were fed pre-drop in push(); count the window and the
-        // match evidence here.
-        state.builder->count_window();
-        for (const auto& m : matches) state.builder->observe_match(m, w.size());
-      }
-      for (const auto& m : matches) on_match_(q, m);
-    }
-
-    if (phase_ == Phase::kSizing) {
-      if (sizing_count_ >= config_.sizing_windows) {
-        const auto n = static_cast<std::size_t>(std::max<long>(
-            1,
-            std::lround(sizing_size_sum_ / static_cast<double>(sizing_count_))));
-        begin_training(n);
-      }
-    } else if (phase_ == Phase::kTraining) {
-      if (queries_.front().builder->windows_observed() >=
-          config_.training_windows) {
-        build_and_arm();
-      }
-    } else if (config_.rebuild_every_windows > 0 &&
-               ++windows_since_rebuild_ >= config_.rebuild_every_windows) {
-      refresh_models();
-    }
-  }
-}
-
-void MultiQueryOperator::build_and_arm() {
-  std::vector<std::shared_ptr<const UtilityModel>> models;
-  models.reserve(queries_.size());
-  for (auto& q : queries_) {
-    auto model = q.builder->build();
-    q.shedder = std::make_unique<EspiceShedder>(model, config_.exact_amount);
-    q.shedder->set_exploration(config_.exploration);
-    models.push_back(std::move(model));
-  }
-  coordinator_.set_models(std::move(models));
-  if (!config_.query_weights.empty()) {
-    coordinator_.set_weights(config_.query_weights);
-  }
-  // Refine the detector's notion of the (shared) window size.
-  auto detector_config = config_.detector;
-  detector_config.window_size_events =
-      static_cast<std::size_t>(predicted_ws_);
-  detector_ = OverloadDetector(detector_config);
-  phase_ = Phase::kShedding;
-}
-
-void MultiQueryOperator::refresh_models() {
-  std::vector<std::shared_ptr<const UtilityModel>> models;
-  models.reserve(queries_.size());
-  for (auto& q : queries_) {
-    auto model = q.builder->build();
-    q.shedder->set_model(model);
-    models.push_back(std::move(model));
-  }
-  coordinator_.set_models(std::move(models));
-  if (!config_.query_weights.empty()) {
-    coordinator_.set_weights(config_.query_weights);
-  }
-  windows_since_rebuild_ = 0;
-}
-
-void MultiQueryOperator::on_tick(double /*now*/, std::size_t queue_size) {
-  if (phase_ != Phase::kShedding) return;
-  const DropCommand cmd = detector_.tick(queue_size);
-  if (!cmd.active) {
-    for (auto& q : queries_) q.shedder->on_command(cmd);
-    return;
-  }
-  // One shared budget, split where it loses the least utility.  The
-  // detector's x is per window PARTITION while the coordinator reasons
-  // over whole-window CDTs, so scale to the per-window total for the split
-  // and back to per-partition amounts for the shedder commands.
-  const double partitions = static_cast<double>(cmd.partitions);
-  last_split_ = coordinator_.apportion(cmd.x * partitions);
-  for (std::size_t q = 0; q < queries_.size(); ++q) {
-    DropCommand qcmd;
-    qcmd.active = last_split_[q] > 0.0;
-    qcmd.x = last_split_[q] / partitions;
-    qcmd.partitions = cmd.partitions;
-    queries_[q].shedder->on_command(qcmd);
-  }
-}
-
-void MultiQueryOperator::observe_cost(double seconds) {
-  detector_.observe_processing_cost(seconds);
+  for (const Event& e : block) push(e);
 }
 
 void MultiQueryOperator::finish() {
-  windows_.close_all();
-  close_windows();
+  pipeline_.close_all(counters_);
+  for (auto& list : pipeline_.query_matches) list.clear();
 }
 
-bool MultiQueryOperator::shedding_active() const {
-  if (phase_ != Phase::kShedding) return false;
-  for (const auto& q : queries_) {
-    if (q.shedder->active()) return true;
-  }
-  return false;
-}
-
-const UtilityModel* MultiQueryOperator::model(std::size_t q) const {
-  ESPICE_REQUIRE(q < queries_.size(), "query index out of range");
-  return queries_[q].shedder ? &queries_[q].shedder->model() : nullptr;
+void MultiQueryOperator::on_tick(double /*now*/, std::size_t queue_size) {
+  controller_.on_tick(queue_size);
 }
 
 MultiQueryStats MultiQueryOperator::stats() const {
   MultiQueryStats s;
-  s.events = events_;
-  s.memberships = memberships_;
-  s.memberships_kept = memberships_kept_;
-  s.windows_closed = windows_closed_;
+  s.events = counters_.events;
+  s.memberships = counters_.memberships;
+  s.memberships_kept = counters_.memberships_kept;
+  s.windows_closed = counters_.windows_closed;
   s.shedding_active = shedding_active();
   s.queries.reserve(queries_.size());
   for (std::size_t q = 0; q < queries_.size(); ++q) {
     MultiQueryStats::PerQuery pq;
-    pq.name = config_.queries[q].name.empty()
-                  ? "q" + std::to_string(q)
-                  : config_.queries[q].name;
-    pq.matches = queries_[q].matches;
-    pq.decisions = queries_[q].shedder ? queries_[q].shedder->decisions() : 0;
-    pq.drops = queries_[q].shedder ? queries_[q].shedder->drops() : 0;
+    pq.name = queries_[q].name.empty() ? "q" + std::to_string(q)
+                                       : queries_[q].name;
+    pq.matches = matches_[q];
+    const DetPipeline::QueryOutcome o = pipeline_.outcome(q);
+    pq.decisions = o.shed_decisions;
+    pq.drops = o.shed_drops;
     s.queries.push_back(std::move(pq));
   }
   return s;
 }
 
 void MultiQueryOperator::serialize(durability::SnapshotWriter& w) {
-  w.u8(static_cast<std::uint8_t>(phase_));
-  w.u64(sizing_count_);
-  w.f64(sizing_size_sum_);
-  w.f64(predicted_ws_);
-  w.u64(windows_since_rebuild_);
-  w.vec_f64(last_split_);
-  w.u64(events_);
-  w.u64(memberships_);
-  w.u64(memberships_kept_);
-  w.u64(windows_closed_);
-  windows_.serialize(w);
-  w.u64(queries_.size());
-  for (auto& q : queries_) {
-    q.matcher.serialize(w);
-    w.boolean(q.builder.has_value());
-    if (q.builder) q.builder->serialize(w);
-    w.boolean(q.shedder != nullptr);
-    if (q.shedder) q.shedder->serialize(w);
-    w.u64(q.matches);
-  }
-  // Last: the detector is re-instantiated from predicted_ws_ on restore
-  // (mirroring build_and_arm()), so its estimates must follow that state.
-  detector_.serialize(w);
+  w.vec_int(matches_);
+  w.u64(counters_.events);
+  w.u64(counters_.memberships);
+  w.u64(counters_.memberships_kept);
+  w.u64(counters_.windows_closed);
+  pipeline_.serialize_core(w);
+  controller_.serialize(w);
 }
 
 void MultiQueryOperator::restore(durability::SnapshotReader& r) {
-  const std::uint8_t phase = r.u8();
-  ESPICE_CHECK(phase <= static_cast<std::uint8_t>(Phase::kShedding),
-               ErrorCode::kCorruptSnapshot, "unknown operator phase");
-  phase_ = static_cast<Phase>(phase);
-  sizing_count_ = static_cast<std::size_t>(r.u64());
-  sizing_size_sum_ = r.f64();
-  predicted_ws_ = r.f64();
-  windows_since_rebuild_ = static_cast<std::size_t>(r.u64());
-  last_split_ = r.vec_f64();
-  events_ = r.u64();
-  memberships_ = r.u64();
-  memberships_kept_ = r.u64();
-  windows_closed_ = r.u64();
-  windows_.restore(r);
-  ESPICE_CHECK(r.u64() == queries_.size(), ErrorCode::kCorruptSnapshot,
+  std::vector<std::uint64_t> matches = r.vec_int<std::uint64_t>();
+  ESPICE_CHECK(matches.size() == matches_.size(),
+               ErrorCode::kCorruptSnapshot,
                "operator snapshot query count disagrees with the config");
-  for (auto& q : queries_) {
-    q.matcher.restore(r);
-    if (r.boolean()) {
-      if (!q.builder) {
-        // Mirror begin_training(): the builder config derives from the
-        // (restored) normalized window size.
-        ModelBuilderConfig mb;
-        mb.num_types = config_.num_types;
-        mb.n_positions = static_cast<std::size_t>(predicted_ws_);
-        mb.bin_size = std::min(config_.bin_size, mb.n_positions);
-        q.builder.emplace(mb);
-      }
-      q.builder->restore(r);
-    } else {
-      q.builder.reset();
-    }
-    if (r.boolean()) {
-      if (!q.shedder) {
-        // Placeholder model; restore() swaps in the serialized one.
-        auto placeholder = std::make_shared<const UtilityModel>(
-            config_.num_types, 1, 1,
-            std::vector<std::uint8_t>(config_.num_types, 0),
-            std::vector<double>(config_.num_types, 0.0));
-        q.shedder = std::make_unique<EspiceShedder>(std::move(placeholder),
-                                                    config_.exact_amount);
-      }
-      q.shedder->restore(r);
-    } else {
-      q.shedder.reset();
-    }
-    q.matches = r.u64();
-  }
-  if (phase_ == Phase::kShedding) {
-    // Mirror build_and_arm(): detector sized to the shared window, then
-    // its running estimates restored; coordinator re-binds the restored
-    // per-query models.
-    auto detector_config = config_.detector;
-    detector_config.window_size_events =
-        static_cast<std::size_t>(predicted_ws_);
-    detector_ = OverloadDetector(detector_config);
-    std::vector<std::shared_ptr<const UtilityModel>> models;
-    models.reserve(queries_.size());
-    for (auto& q : queries_) models.push_back(q.shedder->model_ptr());
-    coordinator_.set_models(std::move(models));
-    if (!config_.query_weights.empty()) {
-      coordinator_.set_weights(config_.query_weights);
-    }
-  }
-  detector_.restore(r);
+  matches_ = std::move(matches);
+  counters_.events = r.u64();
+  counters_.memberships = r.u64();
+  counters_.memberships_kept = r.u64();
+  counters_.windows_closed = r.u64();
+  pipeline_.restore_core(r);
+  controller_.restore(r);
 }
 
 }  // namespace espice

@@ -23,28 +23,26 @@
 // so drops land on the globally lowest-utility mass (see
 // core/shed_coordinator.hpp).
 //
-// Lifecycle mirrors EspiceOperator (sizing -> training -> shedding); all
-// queries share the phase because they share the windows.  Drift
-// retraining is not wired here yet: models refresh periodically via
-// `rebuild_every_windows` instead (per-query drift detection over shared
-// windows is future work).
+// The operator is a thin host: one DetPipeline (runtime/shard_pipeline.hpp)
+// whose queries share one window group, driven by one AdaptiveController
+// (core/adaptive_controller.hpp) that owns the lifecycle (sizing ->
+// training -> shedding, shared by all queries because they share the
+// windows), the per-query models and shedders, the detector and the
+// coordinator.  Drift retraining is not wired here: models refresh
+// periodically via `rebuild_every_windows` instead (per-query drift
+// detection over shared windows is future work).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "cep/incremental_matcher.hpp"
 #include "cep/pattern.hpp"
 #include "cep/window.hpp"
-#include "core/espice_shedder.hpp"
-#include "core/model_builder.hpp"
-#include "core/overload_detector.hpp"
-#include "core/shed_coordinator.hpp"
+#include "core/adaptive_controller.hpp"
+#include "runtime/shard_pipeline.hpp"
 
 namespace espice {
 
@@ -113,7 +111,7 @@ struct MultiQueryStats {
 
 class MultiQueryOperator {
  public:
-  enum class Phase { kSizing, kTraining, kShedding };
+  using Phase = AdaptiveController::Phase;
 
   /// Called per detected complex event with the detecting query's index.
   using MatchCallback =
@@ -121,8 +119,8 @@ class MultiQueryOperator {
 
   MultiQueryOperator(MultiQueryOperatorConfig config, MatchCallback on_match);
 
-  // The shared window manager's kept feed points at the per-query matchers;
-  // moving the operator would dangle it.
+  // The pipeline points at this object's controller and callback; moving
+  // the operator would dangle them.
   MultiQueryOperator(const MultiQueryOperator&) = delete;
   MultiQueryOperator& operator=(const MultiQueryOperator&) = delete;
 
@@ -130,89 +128,59 @@ class MultiQueryOperator {
   /// window manager, one keep/drop decision per (membership, query).
   void push(const Event& e);
 
-  /// Batched variant: consumes a whole block of stream events, bit-identical
-  /// in every output (matches, stats, model evolution) to pushing them one
-  /// by one.  Sizing/training blocks batch through the window manager's
-  /// all-keep bulk path, chunked at close_free_horizon() so phase
-  /// transitions (which trigger on window closings) land on the same event
-  /// as in per-event execution; shedding blocks score each event's
-  /// membership set per query with one EspiceShedder::score_block call over
-  /// flat arrays instead of a virtual should_drop() per (membership, query).
+  /// Consumes a whole block of stream events, bit-identical in every output
+  /// (matches, stats, model evolution) to pushing them one by one -- it
+  /// does exactly that, so phase flips and model refreshes land on the
+  /// same event.
   void push_block(std::span<const Event> block);
 
   /// Flushes all open windows (end of stream).
   void finish();
 
   /// Host signals (see EspiceOperator): processing cost, queue size, arrival.
-  void observe_cost(double seconds);
+  void observe_cost(double seconds) { controller_.observe_cost(seconds); }
   void on_tick(double now, std::size_t queue_size);
-  void observe_arrival(double ts) { detector_.observe_arrival(ts); }
+  void observe_arrival(double ts) { controller_.observe_arrival(ts); }
 
   // --- introspection -------------------------------------------------------
-  Phase phase() const { return phase_; }
+  Phase phase() const { return controller_.phase(); }
   std::size_t query_count() const { return config_.queries.size(); }
-  bool shedding_active() const;
+  bool shedding_active() const { return controller_.shedding_active(); }
   /// Query q's model (nullptr until training completes).
-  const UtilityModel* model(std::size_t q) const;
+  const UtilityModel* model(std::size_t q) const {
+    return controller_.model(q);
+  }
   /// Per-query split of the most recent active detector command's drop
   /// budget, in expected events per WINDOW (the detector's per-partition x
   /// times its partition count); empty before shedding first activates.
-  const std::vector<double>& last_split() const { return last_split_; }
-  const ShedCoordinator& coordinator() const { return coordinator_; }
+  /// A single query takes the detector's command directly, so its split
+  /// stays empty.
+  const std::vector<double>& last_split() const {
+    return controller_.last_split();
+  }
+  const ShedCoordinator& coordinator() const {
+    return controller_.coordinator();
+  }
   MultiQueryStats stats() const;
 
-  /// Snapshot / restore (durability layer): phase machinery, the shared
-  /// window manager, per-query matcher/builder/shedder state and the
-  /// detector estimates.  Non-const because the window manager compacts
-  /// consumed views first.  The restoring operator must be constructed
-  /// with the same config; the coordinator re-binds to the restored
-  /// models, so no derived state travels.
+  /// Snapshot / restore (durability layer): the counters, the pipeline
+  /// (shared window manager, per-query matchers) and the controller
+  /// (phase machinery, per-query builders and shedders, detector
+  /// estimates).  Non-const because the window manager compacts consumed
+  /// views first.  The restoring operator must be constructed with the
+  /// same config; the coordinator re-binds to the restored models, so no
+  /// derived state travels.
   void serialize(durability::SnapshotWriter& w);
   void restore(durability::SnapshotReader& r);
 
  private:
-  void begin_training(std::size_t n_positions);
-  void build_and_arm();
-  void refresh_models();
-  void close_windows();
-  void push_shedding(const Event& e);
-
   MultiQueryOperatorConfig config_;
   MatchCallback on_match_;
-  WindowManager windows_;
-  OverloadDetector detector_;
-  ShedCoordinator coordinator_;
-
-  /// Everything owned per registered query.
-  struct QueryState {
-    explicit QueryState(IncrementalMatcher m) : matcher(std::move(m)) {}
-    /// Stream-level matcher, fed this query's keep decisions (bit q of the
-    /// shared manager's masks) through feed_.
-    IncrementalMatcher matcher;
-    std::optional<ModelBuilder> builder;
-    std::unique_ptr<EspiceShedder> shedder;
-    std::vector<KeptEntry> filter_scratch;  ///< backs the per-query view
-    std::uint64_t matches = 0;
-  };
-  std::vector<QueryState> queries_;
-  MatcherFeed feed_;
-
-  /// Block-scoring scratch: one event's membership positions and the
-  /// per-query keep bitmaps (queries x ceil(memberships / 64) words).
-  std::vector<std::uint32_t> pos_scratch_;
-  std::vector<std::uint64_t> bits_scratch_;
-
-  Phase phase_ = Phase::kSizing;
-  std::size_t sizing_count_ = 0;
-  double sizing_size_sum_ = 0.0;
-  double predicted_ws_ = 0.0;
-  std::size_t windows_since_rebuild_ = 0;
-  std::vector<double> last_split_;
-
-  std::uint64_t events_ = 0;
-  std::uint64_t memberships_ = 0;
-  std::uint64_t memberships_kept_ = 0;
-  std::uint64_t windows_closed_ = 0;
+  std::vector<EngineQuery> queries_;
+  AdaptiveController controller_;
+  DetPipeline pipeline_;
+  ShardStats counters_;
+  std::vector<std::uint64_t> matches_;  ///< per query
 };
 
 }  // namespace espice

@@ -17,7 +17,8 @@ class RandomShedder final : public Shedder {
  public:
   /// `window_size_events` is the normalized window size N, used to convert
   /// the per-partition amount x into a drop probability.
-  explicit RandomShedder(std::size_t window_size_events, std::uint64_t seed = 43)
+  explicit RandomShedder(std::size_t window_size_events,
+                         std::uint64_t seed = 43)
       : window_size_events_(window_size_events), rng_(seed) {
     ESPICE_REQUIRE(window_size_events_ > 0, "window size must be positive");
   }

@@ -55,7 +55,8 @@ double ShedCoordinator::query_mass(std::size_t q) const {
 
 int ShedCoordinator::threshold_for(double x) const {
   const double wmax =
-      weights_.empty() ? 1.0 : *std::max_element(weights_.begin(), weights_.end());
+      weights_.empty() ? 1.0
+                       : *std::max_element(weights_.begin(), weights_.end());
   const int u_max = static_cast<int>(
       std::ceil(static_cast<double>(kMaxUtility) * std::max(1.0, wmax)));
   for (int u = 0; u <= u_max; ++u) {

@@ -44,7 +44,8 @@ std::size_t UtilityModel::col_of_norm(double norm_pos) const {
   return std::min(col, cols_ - 1);
 }
 
-double UtilityModel::normalize_position(std::uint32_t position, double ws) const {
+double UtilityModel::normalize_position(std::uint32_t position,
+                                        double ws) const {
   ESPICE_ASSERT(ws > 0.0, "window size must be positive");
   const double norm = static_cast<double>(position) *
                       static_cast<double>(n_positions_) / ws;

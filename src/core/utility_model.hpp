@@ -91,7 +91,8 @@ class UtilityModel {
  private:
   /// Validates n/bs before the column count is computed (so that a zero bin
   /// size surfaces as ConfigError, not a division by zero).
-  static std::size_t checked_cols(std::size_t n_positions, std::size_t bin_size);
+  static std::size_t checked_cols(std::size_t n_positions,
+                                  std::size_t bin_size);
 
   std::size_t num_types_;
   std::size_t n_positions_;

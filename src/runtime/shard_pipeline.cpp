@@ -40,8 +40,9 @@ ComplexEvent read_ce(durability::SnapshotReader& r) {
 
 DetPipeline::DetPipeline(std::span<const EngineQuery> queries,
                          std::vector<std::unique_ptr<Shedder>> shedders,
-                         const EventTimeConfig* event_time)
-    : queries_(queries) {
+                         const EventTimeConfig* event_time,
+                         WindowObserver observer)
+    : queries_(queries), observer_(std::move(observer)) {
   const std::size_t nq = queries.size();
   ESPICE_REQUIRE(shedders.size() == nq,
                  "pipeline needs one shedder slot per query");
@@ -150,6 +151,7 @@ void DetPipeline::flush(Group& g, ShardStats& stats) {
           g.diverging ? filter_view_for_query(w, rt.bit, rt.filter_scratch)
                       : w;
       auto matches = rt.matcher.finalize(view);
+      if (observer_) observer_(qi, view, matches);
       for (auto& m : matches) {
         query_matches[qi].push_back(std::move(m));
       }

@@ -10,6 +10,12 @@
 // the output stays bit-identical to the per-partition serial golden no
 // matter where it ran.
 //
+// An optional window observer sees every closed window per query -- the
+// query's view and its matches, before they are stored.  The adaptive hosts
+// (EspiceOperator, MultiQueryOperator, the engine's adaptive mode) pass
+// their AdaptiveController's on_window() there, and the controller's
+// Shedder adapters in the shedder slots; deterministic mode passes neither.
+//
 // The pipeline is single-threaded by contract: exactly one thread calls its
 // methods at a time.  Cross-thread handoff (rebalance migration) must
 // establish a happens-before edge between the old and new owner (the engine
@@ -20,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -30,6 +37,12 @@
 #include "runtime/stream_engine.hpp"
 
 namespace espice {
+
+/// Called per closed window and query with the query's view of the window
+/// and the matches detected in it.
+using WindowObserver = std::function<void(
+    std::size_t query, const WindowView& view,
+    std::span<const ComplexEvent> matches)>;
 
 class DetPipeline {
  public:
@@ -45,10 +58,12 @@ class DetPipeline {
   /// `shedders` are adopted, one slot per query (nullptr = keep all).
   /// `event_time` configures the late-event machinery; nullptr = off (the
   /// reorder stage itself stays with the shard loop -- only retained
-  /// windows, revision and side-output state live here).
+  /// windows, revision and side-output state live here).  `observer` may
+  /// be empty.
   DetPipeline(std::span<const EngineQuery> queries,
               std::vector<std::unique_ptr<Shedder>> shedders,
-              const EventTimeConfig* event_time);
+              const EventTimeConfig* event_time,
+              WindowObserver observer = nullptr);
 
   DetPipeline(const DetPipeline&) = delete;
   DetPipeline& operator=(const DetPipeline&) = delete;
@@ -117,6 +132,7 @@ class DetPipeline {
                                const QueryRuntime& rt);
 
   std::span<const EngineQuery> queries_;
+  WindowObserver observer_;
   std::vector<QueryRuntime> runtimes_;
   std::vector<Group> groups_;
   bool et_on_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <span>
 #include <thread>
@@ -142,10 +143,28 @@ void validate_engine(const StreamEngineConfig& c) {
                    "event time requires deterministic mode");
     c.event_time->validate();
   }
-  if (c.adaptive.has_value()) c.adaptive->validate();
+  if (c.adaptive.has_value()) {
+    c.adaptive->validate();
+    // start() builds the adaptive query and its shedders from `adaptive`
+    // alone; these deterministic-mode fields would be silently ignored.
+    ESPICE_REQUIRE(c.shedder_factory == nullptr,
+                   "adaptive mode sheds with its own eSPICE controller; "
+                   "shedder_factory would be ignored");
+    ESPICE_REQUIRE(c.predicted_ws == 0.0,
+                   "adaptive mode learns its window size; predicted_ws "
+                   "would be ignored");
+    ESPICE_REQUIRE(c.query.pattern.elements.empty(),
+                   "adaptive mode runs the query in `adaptive`; `query` "
+                   "would be ignored");
+  }
 }
 
 }  // namespace
+
+ShardQuery adaptive_query(const EspiceOperatorConfig& config) {
+  return ShardQuery{config.pattern, config.window, config.selection,
+                    config.consumption, config.max_matches_per_window};
+}
 
 void StreamEngineConfig::validate() const {
   validate_engine(*this);
@@ -168,8 +187,7 @@ struct LatencyMark {
   std::chrono::steady_clock::time_point t0;
 };
 
-/// What one merge unit hands finish(): a partition pipeline's outputs in
-/// deterministic mode, a whole shard's in adaptive mode.
+/// What one merge unit -- a partition pipeline -- hands finish().
 struct StreamEngine::MergeUnit {
   explicit MergeUnit(std::size_t num_queries)
       : query_matches(num_queries),
@@ -185,14 +203,14 @@ struct StreamEngine::MergeUnit {
   std::vector<SideOutputRecord> side_outputs;
 };
 
-struct StreamEngine::Shard : MergeUnit {
+struct StreamEngine::Shard {
   /// Capacity of the latency-mark side ring.  Small on purpose: marks are
   /// best-effort samples (the router drops one when the ring is full, it
   /// never blocks), so a lagging shard costs coverage, not throughput.
   static constexpr std::size_t kMarkRingCapacity = 256;
 
-  Shard(std::size_t index_, std::size_t ring_capacity, std::size_t num_queries)
-      : MergeUnit(num_queries), ring(ring_capacity), marks(kMarkRingCapacity) {
+  Shard(std::size_t index_, std::size_t ring_capacity)
+      : ring(ring_capacity), marks(kMarkRingCapacity) {
     stats.shard = index_;
   }
 
@@ -320,29 +338,33 @@ void StreamEngine::start() {
   if (started_) return;
   started_ = true;
 
-  if (!config_.adaptive.has_value()) {
-    if (queries_.empty()) {
-      // Legacy single-query path: adopt the config's query as query 0.
-      config_.validate();
-      EngineQuery q;
-      q.query = config_.query;
-      q.shedder_factory = config_.shedder_factory;
-      q.predicted_ws = config_.predicted_ws;
-      queries_.push_back(std::move(q));
+  if (config_.adaptive.has_value()) {
+    // Adaptive mode: the query comes from `adaptive`; its shedders come
+    // from one controller per partition (below).
+    EngineQuery q;
+    q.query = adaptive_query(*config_.adaptive);
+    queries_.push_back(std::move(q));
+  } else if (queries_.empty()) {
+    // Legacy single-query path: adopt the config's query as query 0.
+    config_.validate();
+    EngineQuery q;
+    q.query = config_.query;
+    q.shedder_factory = config_.shedder_factory;
+    q.predicted_ws = config_.predicted_ws;
+    queries_.push_back(std::move(q));
+  }
+  for (std::size_t i = 0; i < queries_.size(); ++i) {
+    EngineQuery& q = queries_[i];
+    q.query.pattern.validate();
+    q.query.window.validate();
+    if (q.shedder_factory != nullptr) {
+      ESPICE_REQUIRE(q.predicted_ws > 0.0 ||
+                         q.query.window.span_kind == WindowSpan::kCount,
+                     "non-count windows need an explicit predicted_ws to "
+                     "shed (query " +
+                         std::to_string(i) + ")");
     }
-    for (std::size_t i = 0; i < queries_.size(); ++i) {
-      EngineQuery& q = queries_[i];
-      q.query.pattern.validate();
-      q.query.window.validate();
-      if (q.shedder_factory != nullptr) {
-        ESPICE_REQUIRE(q.predicted_ws > 0.0 ||
-                           q.query.window.span_kind == WindowSpan::kCount,
-                       "non-count windows need an explicit predicted_ws to "
-                       "shed (query " +
-                           std::to_string(i) + ")");
-      }
-      if (q.name.empty()) q.name = "q" + std::to_string(i);
-    }
+    if (q.name.empty()) q.name = "q" + std::to_string(i);
   }
 
   if (config_.durability.has_value()) {
@@ -362,7 +384,6 @@ void StreamEngine::start() {
     if (pushed_per_shard_.empty()) pushed_per_shard_.assign(config_.shards, 0);
   }
 
-  const std::size_t num_queries = std::max<std::size_t>(queries_.size(), 1);
   const std::size_t nparts = config_.rebalance.has_value()
                                  ? config_.rebalance->partitions
                                  : config_.shards;
@@ -377,8 +398,7 @@ void StreamEngine::start() {
   }
   shards_.reserve(config_.shards);
   for (std::size_t i = 0; i < config_.shards; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(i, config_.ring_capacity, num_queries));
+    shards_.push_back(std::make_unique<Shard>(i, config_.ring_capacity));
     if (config_.producers > 0) {
       shards_.back()->lanes = std::make_unique<SpscLaneSet<Event>>(
           config_.producers, config_.ring_capacity);
@@ -395,30 +415,31 @@ void StreamEngine::start() {
       mailbox_[p].store(nullptr, std::memory_order_relaxed);
     }
   }
-  if (!config_.adaptive.has_value()) {
-    // Shedders are per PARTITION (the factory's "shard" argument is the
-    // partition index, the shard index when L = K): a partition's shedding
-    // state migrates with it.
-    part_shedders_.resize(nparts);
-    for (std::size_t p = 0; p < nparts; ++p) {
-      auto& shedders = part_shedders_[p];
-      shedders.reserve(queries_.size());
-      for (const EngineQuery& q : queries_) {
-        shedders.push_back(q.shedder_factory ? q.shedder_factory(p) : nullptr);
-      }
+  // Shedders are per PARTITION (the factory's "shard" argument is the
+  // partition index, the shard index when L = K): a partition's shedding
+  // state migrates with it.  In adaptive mode (always L = K) they are the
+  // adapters of the partition's own controller.
+  part_shedders_.resize(nparts);
+  for (std::size_t p = 0; p < nparts; ++p) {
+    auto& shedders = part_shedders_[p];
+    if (config_.adaptive.has_value()) {
+      controllers_.push_back(
+          std::make_unique<AdaptiveController>(*config_.adaptive));
+      shedders = controllers_.back()->make_shedders();
+      continue;
     }
-    part_out_.assign(nparts, MergeUnit(num_queries));
-    for (auto& s : shards_) s->parts.resize(nparts);
+    shedders.reserve(queries_.size());
+    for (const EngineQuery& q : queries_) {
+      shedders.push_back(q.shedder_factory ? q.shedder_factory(p) : nullptr);
+    }
   }
+  part_out_.assign(nparts, MergeUnit(queries_.size()));
+  for (auto& s : shards_) s->parts.resize(nparts);
   start_ = std::chrono::steady_clock::now();
   try {
     for (auto& shard : shards_) {
       Shard* s = shard.get();
-      if (config_.adaptive.has_value()) {
-        s->thread = std::thread([this, s] { run_adaptive_shard(*s); });
-      } else {
-        s->thread = std::thread([this, s] { run_shard(*s); });
-      }
+      s->thread = std::thread([this, s] { run_shard(*s); });
     }
   } catch (...) {
     // Thread spawn failed mid-loop: release the shards already running
@@ -813,11 +834,21 @@ void StreamEngine::run_shard(Shard& shard) {
       shard.parts[p] = std::make_unique<DetPipeline>(
           std::span<const EngineQuery>(queries_.data(), queries_.size()),
           std::move(part_shedders_[p]),
-          config_.event_time.has_value() ? &*config_.event_time : nullptr);
+          config_.event_time.has_value() ? &*config_.event_time : nullptr,
+          controllers_.empty()
+              ? WindowObserver{}
+              : std::bind_front(&AdaptiveController::on_window,
+                                controllers_[p].get()));
     }
     // Without rebalancing the shard hosts exactly partition `me` for the
     // whole run: whole blocks go straight to its pipeline.
     DetPipeline* const home = rebalancing ? nullptr : shard.parts[me].get();
+    // Adaptive mode (no rebalancing, so partition `me`): the controller
+    // steering the home pipeline's shedders, and its next detector tick.
+    AdaptiveController* const ctl =
+        controllers_.empty() ? nullptr : controllers_[me].get();
+    double next_tick = ctl != nullptr ? config_.adaptive->detector.tick_period
+                                      : 0.0;
 
     // ---- event-time stage state -----------------------------------------
     const bool et_on = config_.event_time.has_value();
@@ -1044,11 +1075,16 @@ void StreamEngine::run_shard(Shard& shard) {
       } else {
         home->process_data_block(blk, shard.stats);
       }
-      shard.stats.busy_seconds += seconds_since(t0);
+      const double busy = seconds_since(t0);
+      shard.stats.busy_seconds += busy;
       consumed += n;
       shard.progress.store(consumed, std::memory_order_relaxed);
       if (shard.lanes == nullptr) shard.ring.release(n);
       if (config_.latency_sample_every != 0) shard.drain_marks(consumed);
+      if (ctl != nullptr) {
+        steer(*ctl, shard, std::chrono::duration<double>(t0 - start_).count(),
+              busy, n, next_tick);
+      }
     }
     if (et_on) {
       // End of stream: everything still buffered is releasable (no more
@@ -1080,6 +1116,9 @@ void StreamEngine::run_shard(Shard& shard) {
         out.query_revisions[qi] = std::move(pipe.query_revisions[qi]);
       }
       out.side_outputs = std::move(pipe.side_outputs);
+      if (!controllers_.empty()) {
+        shard.stats.retrains += controllers_[p]->retrains();
+      }
     }
   } catch (...) {
     shard.error = std::current_exception();
@@ -1238,79 +1277,24 @@ void StreamEngine::decide_moves() {
   std::fill(part_counts_.begin(), part_counts_.end(), 0);
 }
 
-void StreamEngine::run_adaptive_shard(Shard& shard) {
-  try {
-    EspiceOperator op(*config_.adaptive, [&shard](const ComplexEvent& ce) {
-      shard.query_matches[0].push_back(ce);
-    });
-    const double tick_period = config_.adaptive->detector.tick_period;
-    double next_tick = tick_period;
-    std::uint64_t consumed = 0;
-
-    for (;;) {
-      std::span<const Event> blk = shard.ring.front_block(kShardBlock);
-      if (blk.empty()) {
-        if (!shard.ring.closed()) {
-          std::this_thread::yield();
-          continue;
-        }
-        blk = shard.ring.front_block(kShardBlock);
-        if (blk.empty()) break;
-      }
-      const std::size_t n = blk.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const Event& e = blk[i];
-        const auto before = std::chrono::steady_clock::now();
-        const double now =
-            std::chrono::duration<double>(before - start_).count();
-        op.observe_arrival(now);
-        op.push(e);
-        op.observe_cost(seconds_since(before));
-        if (now >= next_tick) {
-          // The ring depth *is* the shard's input queue: the backpressure
-          // signal the overload detector steers shedding by.  The current
-          // block is still unreleased, so size() already counts its
-          // unprocessed tail (minus what this loop consumed).
-          const std::size_t depth =
-              shard.ring.size() >= i + 1 ? shard.ring.size() - (i + 1) : 0;
-          op.on_tick(now, depth);
-          ++shard.stats.detector_ticks;
-          shard.stats.peak_queue_depth =
-              std::max(shard.stats.peak_queue_depth, depth);
-          if (op.shedding_active()) shard.stats.shedding_ever_active = true;
-          next_tick += tick_period;
-        }
-      }
-      consumed += n;
-      shard.progress.store(consumed, std::memory_order_relaxed);
-      shard.ring.release(n);
-      if (config_.latency_sample_every != 0) shard.drain_marks(consumed);
-    }
-    op.finish();
-
-    const OperatorStats s = op.stats();
-    shard.stats.events = s.events;
-    shard.stats.memberships = s.memberships;
-    shard.stats.memberships_kept = s.memberships_kept;
-    shard.stats.windows_closed = s.windows_closed;
-    shard.stats.matches = shard.query_matches[0].size();
-    shard.stats.shed_decisions = s.decisions;
-    shard.stats.shed_drops = s.drops;
-    shard.stats.retrains = s.retrains;
-    auto& qc = shard.query_counters[0];
-    qc.memberships = s.memberships;
-    qc.memberships_kept = s.memberships_kept;
-    qc.shed_decisions = s.decisions;
-    qc.shed_drops = s.drops;
-  } catch (...) {
-    shard.error = std::current_exception();
-    shard.failed.store(true, std::memory_order_release);
-    any_shard_failed_.store(true, std::memory_order_release);
-    Event e;
-    while (shard.ring.pop_or_closed(e) != SpscRing<Event>::Pop::kDone) {
-      std::this_thread::yield();
-    }
+void StreamEngine::steer(AdaptiveController& ctl, Shard& shard, double t0,
+                         double busy, std::size_t n, double& next_tick) {
+  ctl.retrain_if_drifted();
+  // The block's n events arrived (were dequeued) across its busy time, at
+  // busy / n each: the per-event signals the detector's l(p) and rate
+  // estimates expect, from the clock reads the block already took.
+  const double cost = busy / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ctl.observe_arrival(t0 + cost * static_cast<double>(i));
+    ctl.observe_cost(cost);
   }
+  if (t0 + busy < next_tick) return;
+  // The ring depth *is* the shard's input queue: the backpressure signal
+  // the overload detector steers shedding by.
+  ctl.on_tick(shard.ring.size());
+  ++shard.stats.detector_ticks;
+  if (ctl.shedding_active()) shard.stats.shedding_ever_active = true;
+  next_tick += config_.adaptive->detector.tick_period;
 }
 
 void StreamEngine::open_durability() {
@@ -1741,14 +1725,8 @@ EngineReport StreamEngine::finish() {
   // on exactly one shard, which handed its outputs to part_out_.  Merging
   // per partition makes the output independent of the move schedule (and
   // bit-identical to a serial run with one "shard" per partition; without
-  // rebalancing, partition s is shard s).  Adaptive shards are their own
-  // units.
-  std::vector<MergeUnit*> units;
-  if (config_.adaptive.has_value()) {
-    for (auto& s : shards_) units.push_back(s.get());
-  } else {
-    for (MergeUnit& u : part_out_) units.push_back(&u);
-  }
+  // rebalancing, partition s is shard s).
+  std::vector<MergeUnit>& units = part_out_;
 
   // Canonical per-query merge: each query's matches across merge units,
   // ordered by (completing event seq, unit, in-unit index).
@@ -1759,20 +1737,20 @@ EngineReport StreamEngine::finish() {
                                    : "q" + std::to_string(qi);
     std::vector<std::vector<ComplexEvent>> per_unit;
     per_unit.reserve(units.size());
-    for (MergeUnit* u : units) {
-      const DetPipeline::QueryOutcome& o = u->query_counters[qi];
+    for (MergeUnit& u : units) {
+      const DetPipeline::QueryOutcome& o = u.query_counters[qi];
       qr.memberships += o.memberships;
       qr.memberships_kept += o.memberships_kept;
       qr.shed_decisions += o.shed_decisions;
       qr.shed_drops += o.shed_drops;
-      per_unit.push_back(std::move(u->query_matches[qi]));
+      per_unit.push_back(std::move(u.query_matches[qi]));
     }
     qr.matches = merge_matches(std::move(per_unit));
     // Canonical revision order: (late event seq, unit, in-unit index) --
     // shard- and thread-schedule-independent, like the match merge.
     qr.revisions = canonical_merge(
         units.size(),
-        [&](std::size_t u) -> auto& { return units[u]->query_revisions[qi]; },
+        [&](std::size_t u) -> auto& { return units[u].query_revisions[qi]; },
         [](const RevisionRecord& r) { return r.late_seq; });
   }
   report.rebalance_moves = rebalance_moves_;
@@ -1807,7 +1785,7 @@ EngineReport StreamEngine::finish() {
   // Side outputs merged canonically by (late event seq, unit, index).
   report.side_outputs = canonical_merge(
       units.size(),
-      [&](std::size_t u) -> auto& { return units[u]->side_outputs; },
+      [&](std::size_t u) -> auto& { return units[u].side_outputs; },
       [](const SideOutputRecord& so) { return so.event.seq; });
 
   // Engine-level canonical order: (completion seq, query, shard, index).

@@ -27,10 +27,13 @@
 //     seq, shard, in-shard detection index), which no thread interleaving
 //     can perturb.
 // In deterministic mode any shedding must come from a deterministic Shedder
-// (e.g. a seq-hash policy); adaptive mode instead gives every shard a full
-// EspiceOperator whose overload detector is ticked with the shard's *ring
-// depth* as the queue-size (backpressure) signal -- adaptive results depend
-// on the wall clock and are not bit-stable.
+// (e.g. a seq-hash policy).  Adaptive mode runs the same shard loop and
+// pipeline, with one AdaptiveController per partition steering the
+// pipeline's eSPICE shedders (core/adaptive_controller.hpp): after each
+// drained block the shard feeds it the block's busy time as per-event cost
+// and ticks its overload detector with the shard's *ring depth* as the
+// queue-size (backpressure) signal -- adaptive results depend on the wall
+// clock and are not bit-stable.
 //
 // Threading contract: push(), push_batch() and finish() must be called from
 // one thread (the router); each shard's pipeline runs on its own thread;
@@ -85,7 +88,7 @@
 #include "cep/matcher.hpp"
 #include "cep/pattern.hpp"
 #include "cep/window.hpp"
-#include "core/espice_operator.hpp"
+#include "core/adaptive_controller.hpp"
 #include "core/shedder.hpp"
 #include "durability/event_log.hpp"
 #include "durability/snapshot.hpp"
@@ -104,6 +107,9 @@ struct ShardQuery {
   ConsumptionPolicy consumption = ConsumptionPolicy::kConsumed;
   std::size_t max_matches_per_window = 1;
 };
+
+/// The query of an adaptive operator config.
+ShardQuery adaptive_query(const EspiceOperatorConfig& config);
 
 /// One registered query of a (multi-query) engine run: the query itself
 /// plus its per-query shedding policy.
@@ -296,10 +302,15 @@ struct StreamEngineConfig {
   double predicted_ws = 0.0;
 
   // --- adaptive mode -------------------------------------------------------
-  /// When set, every shard runs a full EspiceOperator built from this config
-  /// (sizing -> training -> shedding lifecycle, drift retraining) and its
-  /// overload detector is ticked with the shard's ring depth every
-  /// `detector.tick_period` wall seconds.
+  /// When set, the engine runs this config's query, and every partition
+  /// gets its own AdaptiveController built from it (sizing -> training ->
+  /// shedding lifecycle, drift retraining).  The detector ticks per drained
+  /// block: each block's busy time feeds its per-event cost and arrivals,
+  /// and once `detector.tick_period` wall seconds passed since the last
+  /// tick, the shard's ring depth is the queue size.  Excludes the
+  /// deterministic query fields (`query`, `shedder_factory`,
+  /// `predicted_ws`), add_query(), multi-producer ingestion, rebalancing,
+  /// durability and event time.
   std::optional<EspiceOperatorConfig> adaptive;
 
   // --- durability ----------------------------------------------------------
@@ -647,7 +658,12 @@ class StreamEngine {
   /// partition (exactly partition s on shard s without rebalancing), fed
   /// from the ring or, with producers, the P-lane merge.
   void run_shard(Shard& shard);
-  void run_adaptive_shard(Shard& shard);
+  /// Adaptive mode, after each drained block that started at `t0` (engine
+  /// seconds) and took `busy` seconds: runs a pending drift retrain, feeds
+  /// the detector the block's arrivals and per-event cost, and ticks it
+  /// with the ring depth once `next_tick` is due.
+  void steer(AdaptiveController& ctl, Shard& shard, double t0, double busy,
+             std::size_t n, double& next_tick);
   /// The one backpressure loop: pushes staging_[producer].runs into their
   /// shards' inputs round-robin, waiting (bounded yield->sleep) only when
   /// every pending input is full, and raising a typed error when a shard
@@ -708,6 +724,10 @@ class StreamEngine {
   /// Registered queries (adopted from the legacy config at start() when
   /// add_query() was never called).
   std::vector<EngineQuery> queries_;
+  /// Adaptive mode: per partition, the controller behind its shedders,
+  /// driven by the hosting shard's thread only.  Declared before the
+  /// shards so it outlives their pipelines.
+  std::vector<std::unique_ptr<AdaptiveController>> controllers_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// Per producer (producer 0 = the single router), its routing scratch.
   std::vector<Staging> staging_;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "runtime/shard_pipeline.hpp"
 #include "runtime/stream_engine.hpp"
 #include "sim/sharded_sim.hpp"
 #include "support/test_seed.hpp"
@@ -289,6 +290,98 @@ TEST(StreamEngineOracle, AdaptiveShardsRunFullLifecycle) {
   // windows and every window holds one A-then-B match.
   EXPECT_EQ(windows, kBlocks);
   EXPECT_EQ(report.matches.size(), kBlocks);
+
+  // Nothing was shed, so the output is the deterministic engine's with no
+  // shedder over the same stream, shards, key and query.
+  StreamEngineConfig det;
+  det.shards = config.shards;
+  det.key_of = config.key_of;
+  det.query.pattern = op.pattern;
+  det.query.window = op.window;
+  det.query.selection = op.selection;
+  det.query.consumption = op.consumption;
+  det.query.max_matches_per_window = op.max_matches_per_window;
+  StreamEngine det_engine(det);
+  for (const Event& e : events) det_engine.push(e);
+  expect_same_matches(report.matches, det_engine.finish().matches);
+}
+
+// Adaptive mode under a real backlog: the whole stream lands in large
+// rings through push_batch, with a latency bound small enough that the
+// shards' detectors may activate shedding.  Whether and where they do
+// depends on the thread schedule, so only the accounting that holds under
+// any schedule is asserted.
+TEST(StreamEngineOracle, AdaptiveShardsUnderBacklog) {
+  const std::uint64_t seed = test_support::test_seed(808);
+  SCOPED_TRACE(test_support::seed_trace(seed));
+  const auto events = random_stream(seed, 60000);
+
+  EspiceOperatorConfig op;
+  op.pattern = make_query(WindowSpec{}).pattern;
+  op.window.span_kind = WindowSpan::kCount;
+  op.window.span_events = 24;
+  op.window.open_kind = WindowOpen::kCountSlide;
+  op.window.slide_events = 6;
+  op.num_types = kNumTypes;
+  op.training_windows = 40;
+  op.detector.latency_bound = 1e-4;
+  op.detector.tick_period = 1e-4;
+
+  StreamEngineConfig config;
+  config.shards = 2;
+  config.ring_capacity = 1 << 15;
+  config.adaptive = op;
+  StreamEngine engine(config);
+  engine.push_batch(events);
+  const EngineReport report = engine.finish();
+
+  std::uint64_t shard_events = 0;
+  DetPipeline::QueryOutcome sum;
+  for (const auto& s : report.shards) {
+    shard_events += s.events;
+    EXPECT_EQ(s.memberships - s.memberships_kept, s.shed_drops)
+        << "shard " << s.shard;
+    EXPECT_LE(s.shed_drops, s.shed_decisions) << "shard " << s.shard;
+    EXPECT_LE(s.shed_decisions, s.memberships) << "shard " << s.shard;
+    sum.memberships += s.memberships;
+    sum.memberships_kept += s.memberships_kept;
+    sum.shed_decisions += s.shed_decisions;
+    sum.shed_drops += s.shed_drops;
+  }
+  EXPECT_EQ(shard_events, events.size());
+  ASSERT_EQ(report.queries.size(), 1u);
+  const QueryReport& q = report.queries[0];
+  EXPECT_EQ(q.memberships, sum.memberships);
+  EXPECT_EQ(q.memberships_kept, sum.memberships_kept);
+  EXPECT_EQ(q.shed_decisions, sum.shed_decisions);
+  EXPECT_EQ(q.shed_drops, sum.shed_drops);
+}
+
+// Adaptive mode builds its query and shedders from `adaptive` alone; a
+// config that also sets the deterministic query fields would have them
+// silently ignored, so it is rejected.
+TEST(StreamEngineOracle, AdaptiveRejectsIgnoredQueryFields) {
+  StreamEngineConfig base;
+  base.adaptive.emplace();
+  base.adaptive->pattern =
+      make_sequence({element("A", TypeSet{0}), element("B", TypeSet{1})});
+  base.adaptive->window =
+      make_spec(WindowSpan::kCount, WindowOpen::kCountSlide);
+  base.adaptive->num_types = kNumTypes;
+
+  StreamEngineConfig with_factory = base;
+  with_factory.shedder_factory = [](std::size_t) {
+    return std::make_unique<HashShedder>(3);
+  };
+  EXPECT_THROW(StreamEngine{with_factory}, ConfigError);
+
+  StreamEngineConfig with_ws = base;
+  with_ws.predicted_ws = kPredictedWs;
+  EXPECT_THROW(StreamEngine{with_ws}, ConfigError);
+
+  StreamEngineConfig with_query = base;
+  with_query.query = make_query(base.adaptive->window);
+  EXPECT_THROW(StreamEngine{with_query}, ConfigError);
 }
 
 // Stats cross-check: per-shard memberships minus kept equals the shedder's
