@@ -66,10 +66,10 @@ class Error : public ConfigError {
 };
 
 namespace detail {
-[[noreturn]] inline void assert_fail(const char* expr, const char* file, int line,
-                                     const char* msg) {
-  std::fprintf(stderr, "espice: assertion `%s` failed at %s:%d: %s\n", expr, file,
-               line, msg);
+[[noreturn]] inline void assert_fail(const char* expr, const char* file,
+                                     int line, const char* msg) {
+  std::fprintf(stderr, "espice: assertion `%s` failed at %s:%d: %s\n", expr,
+               file, line, msg);
   std::abort();
 }
 }  // namespace detail

@@ -29,7 +29,8 @@ RtlsGenerator::RtlsGenerator(RtlsConfig config, TypeRegistry& registry)
       markers_[s].push_back(defenders_[s * config_.markers_per_striker + k]);
     }
   }
-  next_episode_start_ = rng_.exponential(1.0 / config_.possession_gap_mean_seconds);
+  next_episode_start_ =
+      rng_.exponential(1.0 / config_.possession_gap_mean_seconds);
 }
 
 void RtlsGenerator::roll_episode() {
@@ -117,7 +118,8 @@ std::vector<Event> RtlsGenerator::generate(std::size_t count) {
         bool defending = false;
         if (in_episode) {
           const int k = marker_index(type, episode_.striker);
-          if (k >= 0 && episode_.marker_start[static_cast<std::size_t>(k)] >= 0.0 &&
+          if (k >= 0 &&
+              episode_.marker_start[static_cast<std::size_t>(k)] >= 0.0 &&
               ts >= episode_.marker_start[static_cast<std::size_t>(k)]) {
             defending = true;
           }

@@ -68,7 +68,9 @@ class RtlsGenerator {
     return markers_[s];
   }
   /// Total objects == events per second.
-  std::size_t objects() const { return 2 + config_.num_defenders + config_.num_others; }
+  std::size_t objects() const {
+    return 2 + config_.num_defenders + config_.num_others;
+  }
   double aggregate_rate() const { return static_cast<double>(objects()); }
   const RtlsConfig& config() const { return config_; }
 

@@ -29,8 +29,8 @@ StockGenerator::StockGenerator(StockConfig config, TypeRegistry& registry)
     offset_of_[s] = rng_.uniform(0.0, 3.0);
   }
   for (std::size_t s = config_.num_leaders; s < config_.num_symbols; ++s) {
-    leader_of_[s] =
-        static_cast<EventTypeId>((s - config_.num_leaders) % config_.num_leaders);
+    leader_of_[s] = static_cast<EventTypeId>((s - config_.num_leaders) %
+                                             config_.num_leaders);
     lag_of_[s] = rng_.uniform(config_.min_lag_seconds, config_.max_lag_seconds);
     // A follower reacting l seconds after the leader also *quotes* about l
     // seconds into the period.
@@ -113,14 +113,17 @@ std::vector<EventTypeId> StockGenerator::followers_in_lag_order(
     EventTypeId leader, std::size_t k) const {
   std::vector<EventTypeId> followers;
   for (std::size_t s = config_.num_leaders; s < config_.num_symbols; ++s) {
-    if (leader_of_[s] == leader) followers.push_back(static_cast<EventTypeId>(s));
+    if (leader_of_[s] == leader) {
+      followers.push_back(static_cast<EventTypeId>(s));
+    }
   }
   std::sort(followers.begin(), followers.end(),
             [&](EventTypeId a, EventTypeId b) {
               if (lag_of_[a] != lag_of_[b]) return lag_of_[a] < lag_of_[b];
               return a < b;
             });
-  ESPICE_REQUIRE(followers.size() >= k, "leader has fewer followers than requested");
+  ESPICE_REQUIRE(followers.size() >= k,
+                 "leader has fewer followers than requested");
   followers.resize(k);
   return followers;
 }
@@ -166,9 +169,9 @@ std::vector<Event> StockGenerator::generate(std::size_t count) {
       for (std::size_t q = 0; q < quotes; ++q) {
         const double jitter = rng_.uniform(-config_.quote_jitter_seconds,
                                            config_.quote_jitter_seconds);
-        const double offset =
-            std::clamp(offset_of_[s] + spacing * static_cast<double>(q) + jitter,
-                       0.0, config_.quote_period_seconds - 1e-6);
+        const double offset = std::clamp(
+            offset_of_[s] + spacing * static_cast<double>(q) + jitter, 0.0,
+            config_.quote_period_seconds - 1e-6);
         batch.emplace_back(clock_ + offset, static_cast<EventTypeId>(s));
       }
     }
@@ -198,7 +201,8 @@ std::vector<Event> StockGenerator::generate(std::size_t count) {
             influencing = &mv;  // later moves override earlier ones
           }
         }
-        if (influencing != nullptr && rng_.bernoulli(config_.follow_probability)) {
+        if (influencing != nullptr &&
+            rng_.bernoulli(config_.follow_probability)) {
           direction = influencing->direction;
         } else {
           direction =

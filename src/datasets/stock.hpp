@@ -45,7 +45,8 @@ struct StockConfig {
   double follow_probability = 0.95;
   double min_lag_seconds = 5.0;
   double max_lag_seconds = 60.0;
-  double hold_seconds = 150.0;  ///< how long a leader move influences a follower
+  /// How long a leader move influences a follower.
+  double hold_seconds = 150.0;
   /// Rising probability of an *uninfluenced* quote.  Below 0.5 so that
   /// correlated follower reactions stand out against background noise.
   double baseline_rise_probability = 0.3;

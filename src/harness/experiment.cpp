@@ -62,9 +62,12 @@ TrainedModel train_model(const QueryDef& query, std::size_t num_types,
   mb_config.bin_size = std::min(bin_size, n_positions);
   ModelBuilder builder(mb_config);
   run_pipeline(train_events, query.window, matcher, nullptr, 0.0,
-               [&](const WindowView& w, const std::vector<ComplexEvent>& matches) {
+               [&](const WindowView& w,
+                   const std::vector<ComplexEvent>& matches) {
                  builder.observe_window(w);
-                 for (const auto& m : matches) builder.observe_match(m, w.size());
+                 for (const auto& m : matches) {
+                   builder.observe_match(m, w.size());
+                 }
                });
   trained.windows = builder.windows_observed();
   trained.matches = builder.matches_observed();
@@ -91,9 +94,9 @@ std::unique_ptr<Shedder> make_shedder(const ExperimentConfig& config,
           freq[t] += model.share_cell(static_cast<EventTypeId>(t), c);
         }
       }
-      return std::make_unique<BaselineShedder>(config.query.pattern,
-                                               std::move(freq),
-                                               model.n_positions(), config.seed);
+      return std::make_unique<BaselineShedder>(
+          config.query.pattern, std::move(freq), model.n_positions(),
+          config.seed);
     }
     case ShedderKind::kRandom:
       return std::make_unique<RandomShedder>(model.n_positions(), config.seed);
@@ -114,7 +117,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   ESPICE_REQUIRE(config.num_types > 0, "num_types must be set");
 
   const auto train = events.subspan(0, config.train_events);
-  const auto measure = events.subspan(config.train_events, config.measure_events);
+  const auto measure =
+      events.subspan(config.train_events, config.measure_events);
   const Matcher matcher = config.query.make_matcher();
 
   // --- 1. Train the utility model (or reuse a caller-provided one) --------
@@ -131,7 +135,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   // --- 2. Golden pass ------------------------------------------------------
   std::vector<ComplexEvent> golden;
   run_pipeline(measure, config.query.window, matcher, nullptr, 0.0,
-               [&](const WindowView&, const std::vector<ComplexEvent>& matches) {
+               [&](const WindowView&,
+                   const std::vector<ComplexEvent>& matches) {
                  golden.insert(golden.end(), matches.begin(), matches.end());
                });
 

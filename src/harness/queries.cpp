@@ -28,8 +28,8 @@ QueryDef make_q1(const RtlsGenerator& gen, std::size_t n, double window_seconds,
   return q;
 }
 
-QueryDef make_q2(const StockGenerator& gen, std::size_t n, double window_seconds,
-                 SelectionPolicy selection) {
+QueryDef make_q2(const StockGenerator& gen, std::size_t n,
+                 double window_seconds, SelectionPolicy selection) {
   QueryDef q;
   q.name = "Q2(n=" + std::to_string(n) + ")";
   q.selection = selection;

@@ -28,7 +28,9 @@ void Table::print(std::ostream& out) const {
   std::vector<std::size_t> widths(headers_.size());
   for (std::size_t c = 0; c < headers_.size(); ++c) {
     widths[c] = headers_[c].size();
-    for (const auto& row : rows_) widths[c] = std::max(widths[c], row[c].size());
+    for (const auto& row : rows_) {
+      widths[c] = std::max(widths[c], row[c].size());
+    }
   }
   auto print_row = [&](const std::vector<std::string>& row) {
     out << "| ";
@@ -41,7 +43,8 @@ void Table::print(std::ostream& out) const {
   print_row(headers_);
   out << '|';
   for (std::size_t c = 0; c < headers_.size(); ++c) {
-    out << std::string(widths[c] + 2, '-') << (c + 1 == headers_.size() ? "|" : "|");
+    out << std::string(widths[c] + 2, '-')
+        << (c + 1 == headers_.size() ? "|" : "|");
   }
   out << '\n';
   for (const auto& row : rows_) print_row(row);

@@ -86,7 +86,8 @@ class LatencyHistogram {
   /// linear sub-buckets per octave keyed off the MSB position.
   static constexpr std::size_t bucket_index(std::uint64_t value_ns) {
     if (value_ns < kSubCount) return static_cast<std::size_t>(value_ns);
-    const unsigned msb = 63u - static_cast<unsigned>(std::countl_zero(value_ns));
+    const unsigned msb =
+        63u - static_cast<unsigned>(std::countl_zero(value_ns));
     const unsigned shift = msb - kSubBits;
     const auto group = static_cast<std::size_t>(shift + 1);
     const auto sub =

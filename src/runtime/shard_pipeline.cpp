@@ -97,8 +97,13 @@ DetPipeline::DetPipeline(std::span<const EngineQuery> queries,
   groups_.reserve(group_members.size());
   for (auto& members : group_members) {
     bool any_shedder = false;
+    QueryMask keep_all_mask = 0;
     for (const std::size_t qi : members) {
-      any_shedder = any_shedder || runtimes_[qi].shedder != nullptr;
+      if (runtimes_[qi].shedder != nullptr) {
+        any_shedder = true;
+      } else {
+        keep_all_mask |= QueryMask{1} << runtimes_[qi].bit;
+      }
     }
     // Keep sets can only diverge between member queries when at least one
     // of them sheds; an all-keep group needs no masks and no per-query
@@ -107,7 +112,7 @@ DetPipeline::DetPipeline(std::span<const EngineQuery> queries,
     groups_.push_back(
         Group{WindowManager(queries_[members.front()].query.window,
                             /*track_masks=*/diverging),
-              std::move(members), diverging, MatcherFeed{}});
+              std::move(members), diverging, keep_all_mask, MatcherFeed{}});
   }
   // Wire the feeds only once every group sits at its final address.  A
   // group whose members all take the window scan (last selection,
@@ -147,9 +152,14 @@ void DetPipeline::flush(Group& g, ShardStats& stats) {
     ++stats.windows_closed;
     for (const std::size_t qi : g.members) {
       QueryRuntime& rt = runtimes_[qi];
-      const WindowView view =
-          g.diverging ? filter_view_for_query(w, rt.bit, rt.filter_scratch)
-                      : w;
+      WindowView view = w;
+      if (g.diverging && rt.shedder != nullptr) {
+        view = filter_view_for_query(w, rt.bit, rt.filter_scratch);
+      } else {
+        // A keep-all member's bit is on every physically kept entry, so
+        // its filtered view is the whole window.
+        view.kept_masks = {};
+      }
       auto matches = rt.matcher.finalize(view);
       if (observer_) observer_(qi, view, matches);
       for (auto& m : matches) {
@@ -238,15 +248,95 @@ void DetPipeline::handle_late(const Event& e, std::uint64_t watermark_seq,
   }
 }
 
+void DetPipeline::load_positions(
+    const std::vector<WindowManager::Membership>& ms) {
+  pos_scratch_.resize(ms.size());
+  for (std::size_t i = 0; i < ms.size(); ++i) {
+    pos_scratch_[i] = ms[i].position;
+  }
+}
+
+bool DetPipeline::dropped_by_every_shedder(const Group& g,
+                                           const Event& e) const {
+  for (const std::size_t qi : g.members) {
+    const Shedder* shedder = runtimes_[qi].shedder.get();
+    if (shedder != nullptr && !shedder->drops_everywhere(e)) return false;
+  }
+  return true;
+}
+
+void DetPipeline::offer_pruned_run(Group& g, std::span<const Event> run,
+                                   ShardStats& stats) {
+  if (run.empty()) return;
+  // Every shedding member drops each event of the run in every window, so
+  // each membership is kept for exactly the keep-all members: one masked
+  // bulk keep, or no keep at all when every member sheds.
+  std::uint64_t mcount = 0;
+  if (g.keep_all_mask != 0) {
+    mcount = g.wm.offer_keep_all_block(run, g.keep_all_mask);
+    stats.memberships_kept += mcount;
+  } else {
+    for (const Event& e : run) mcount += g.wm.offer_dropped(e);
+  }
+  stats.memberships += mcount;
+  for (const std::size_t qi : g.members) {
+    QueryRuntime& rt = runtimes_[qi];
+    rt.memberships += mcount;
+    if (rt.shedder != nullptr) {
+      rt.shedder->count_dropped(mcount);
+    } else {
+      rt.kept += mcount;
+    }
+  }
+}
+
+void DetPipeline::offer_scored(Group& g, const Event& e, ShardStats& stats) {
+  auto& memberships = g.wm.offer(e);
+  const std::size_t mcount = memberships.size();
+  stats.memberships += mcount;
+  if (mcount == 0) return;
+  load_positions(memberships);
+  const std::size_t words = keep_bitmap_words(mcount);
+  bits_scratch_.resize(words * g.members.size());
+  for (std::size_t b = 0; b < g.members.size(); ++b) {
+    QueryRuntime& rt = runtimes_[g.members[b]];
+    rt.memberships += mcount;
+    std::uint64_t* bits = bits_scratch_.data() + b * words;
+    if (rt.shedder == nullptr) {
+      for (std::size_t w = 0; w < words; ++w) bits[w] = ~0ULL;
+      rt.kept += mcount;
+    } else if (rt.shedder->drops_everywhere(e)) {
+      for (std::size_t w = 0; w < words; ++w) bits[w] = 0;
+      rt.shedder->count_dropped(mcount);
+    } else {
+      rt.shedder->score_block(e, pos_scratch_.data(), mcount,
+                              rt.predicted_ws, bits);
+      std::uint64_t kept = 0;
+      for (std::size_t i = 0; i < mcount; ++i) {
+        kept += keep_bit(bits, i);
+      }
+      rt.kept += kept;
+    }
+  }
+  // Transpose the per-query bitmaps into per-membership masks.
+  for (std::size_t i = 0; i < mcount; ++i) {
+    QueryMask mask = 0;
+    for (std::size_t b = 0; b < g.members.size(); ++b) {
+      if (keep_bit(bits_scratch_.data() + b * words, i)) {
+        mask |= QueryMask{1} << runtimes_[g.members[b]].bit;
+      }
+    }
+    // Every query shed it -> physical drop (never buffered).
+    if (mask != 0) {
+      g.wm.keep(memberships[i], e, mask);
+      ++stats.memberships_kept;
+    }
+  }
+}
+
 void DetPipeline::process_data_block(std::span<const Event> data,
                                      ShardStats& stats) {
   stats.events += data.size();
-  auto positions_of = [this](const std::vector<WindowManager::Membership>& ms) {
-    pos_scratch_.resize(ms.size());
-    for (std::size_t i = 0; i < ms.size(); ++i) {
-      pos_scratch_[i] = ms[i].position;
-    }
-  };
   for (Group& g : groups_) {
     if (g.members.size() == 1) {
       QueryRuntime& rt = runtimes_[g.members.front()];
@@ -272,7 +362,7 @@ void DetPipeline::process_data_block(std::span<const Event> data,
           stats.memberships += mcount;
           rt.memberships += mcount;
           if (mcount == 0) continue;
-          positions_of(memberships);
+          load_positions(memberships);
           bits_scratch_.resize(keep_bitmap_words(mcount));
           rt.shedder->score_block(e, pos_scratch_.data(), mcount,
                                   rt.predicted_ws, bits_scratch_.data());
@@ -296,49 +386,16 @@ void DetPipeline::process_data_block(std::span<const Event> data,
         runtimes_[qi].kept += kept;
       }
     } else {
-      for (const Event& e : data) {
-        auto& memberships = g.wm.offer(e);
-        const std::size_t mcount = memberships.size();
-        stats.memberships += mcount;
-        if (mcount == 0) continue;
-        positions_of(memberships);
-        const std::size_t words = keep_bitmap_words(mcount);
-        bits_scratch_.resize(words * g.members.size());
-        for (std::size_t b = 0; b < g.members.size(); ++b) {
-          QueryRuntime& rt = runtimes_[g.members[b]];
-          rt.memberships += mcount;
-          std::uint64_t* bits = bits_scratch_.data() + b * words;
-          if (rt.shedder == nullptr) {
-            for (std::size_t w = 0; w < words; ++w) bits[w] = ~0ULL;
-            rt.kept += mcount;
-          } else if (rt.shedder->drops_everywhere(e)) {
-            for (std::size_t w = 0; w < words; ++w) bits[w] = 0;
-            rt.shedder->count_dropped(mcount);
-          } else {
-            rt.shedder->score_block(e, pos_scratch_.data(), mcount,
-                                    rt.predicted_ws, bits);
-            std::uint64_t kept = 0;
-            for (std::size_t i = 0; i < mcount; ++i) {
-              kept += keep_bit(bits, i);
-            }
-            rt.kept += kept;
-          }
-        }
-        // Transpose the per-query bitmaps into per-membership masks.
-        for (std::size_t i = 0; i < mcount; ++i) {
-          QueryMask mask = 0;
-          for (std::size_t b = 0; b < g.members.size(); ++b) {
-            if (keep_bit(bits_scratch_.data() + b * words, i)) {
-              mask |= QueryMask{1} << runtimes_[g.members[b]].bit;
-            }
-          }
-          // Every query shed it -> physical drop (never buffered).
-          if (mask != 0) {
-            g.wm.keep(memberships[i], e, mask);
-            ++stats.memberships_kept;
-          }
-        }
+      // Diverging group: maximal runs of events every shedding member
+      // drops everywhere take the bulk path; the rest are scored.
+      std::size_t run_begin = 0;
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        if (dropped_by_every_shedder(g, data[i])) continue;
+        offer_pruned_run(g, data.subspan(run_begin, i - run_begin), stats);
+        offer_scored(g, data[i], stats);
+        run_begin = i + 1;
       }
+      offer_pruned_run(g, data.subspan(run_begin), stats);
     }
     flush(g, stats);
   }

@@ -10,6 +10,22 @@
 // the output stays bit-identical to the per-partition serial golden no
 // matter where it ran.
 //
+// Queries with identical windowing share one window group.  A group whose
+// members keep different subsets (at least one member sheds) is
+// *diverging*: its manager stores a keep mask per kept entry.  Events there
+// take one of two paths.  A maximal run of events that every shedding
+// member drops in every window (Shedder::drops_everywhere) is offered with
+// one masked WindowManager::offer_keep_all_block call that keeps it for the
+// members without a shedder, or event by event through offer_dropped when
+// every member sheds; its decisions are counted in bulk.  Every other event
+// is scored per member and kept per membership under the OR of the
+// keeping members' bits.  At window close a shedding member matches its
+// filter_view_for_query() subset, while a keep-all member matches the
+// unfiltered window: its bit is on every physically kept entry.  How the
+// stream is cut into blocks never changes the output, the counters or the
+// snapshot bytes at a given event cut
+// (tests/runtime/pipeline_block_oracle_test.cpp).
+//
 // An optional window observer sees every closed window per query -- the
 // query's view and its matches, before they are stored.  The adaptive hosts
 // (EspiceOperator, MultiQueryOperator, the engine's adaptive mode) pass
@@ -120,13 +136,23 @@ class DetPipeline {
   };
 
   /// Queries sharing identical windowing: one WindowManager per group.
+  /// `keep_all_mask` holds the bits of the members without a shedder.
   struct Group {
     WindowManager wm;
     std::vector<std::size_t> members;
     bool diverging;
+    QueryMask keep_all_mask;
     MatcherFeed feed;
   };
 
+  void load_positions(const std::vector<WindowManager::Membership>& ms);
+  /// Diverging-group steps: whether every shedding member drops `e` in
+  /// every window; a run of such events in bulk; one event scored per
+  /// member and kept per membership under the OR of the members' bits.
+  bool dropped_by_every_shedder(const Group& g, const Event& e) const;
+  void offer_pruned_run(Group& g, std::span<const Event> run,
+                        ShardStats& stats);
+  void offer_scored(Group& g, const Event& e, ShardStats& stats);
   void flush(Group& g, ShardStats& stats);
   WindowView retained_view_for(const RetainedWindow& rw,
                                const QueryRuntime& rt);

@@ -53,11 +53,18 @@
 // exploration-free model whose UT row for the event's type cannot reach
 // the smallest partition threshold, so no decision draws from the RNG).  A
 // single-query group then only advances its windows
-// (WindowManager::offer_dropped: no membership list, no scoring) and a
-// diverging group zeroes that query's keep words; both count the decisions
-// in bulk (Shedder::count_dropped).  The block path is output-bit-identical
-// to per-event execution (tests/runtime/batch_ingest_oracle_test.cpp
-// enforces it), so push() and push_batch() are interchangeable mid-stream.
+// (WindowManager::offer_dropped: no membership list, no scoring).  A
+// diverging group offers each maximal run of events that EVERY shedding
+// member drops everywhere in one masked
+// WindowManager::offer_keep_all_block call, kept for the members without
+// a shedder (or, when every member sheds, only advances its windows
+// through offer_dropped), and zeroes the keep words of the members that
+// drop an event everywhere when others still score it.  Every one of these
+// counts the decisions in bulk (Shedder::count_dropped).  The block path
+// is output-bit-identical to per-event execution
+// (tests/runtime/batch_ingest_oracle_test.cpp enforces it, and
+// tests/runtime/pipeline_block_oracle_test.cpp for arbitrary block cuts),
+// so push() and push_batch() are interchangeable mid-stream.
 //
 // Multi-query execution: add_query() registers N queries before the first
 // push(); shard threads spawn lazily on the first push (or an explicit
@@ -65,6 +72,9 @@
 // WindowManager/EventStore per shard -- events are routed, buffered and
 // positioned once, and each query keeps its own subset of every window via
 // per-query keep masks (an event every query sheds is physically dropped).
+// At close, each shedding query of a diverging group matches its masked
+// subset (filter_view_for_query); a query without a shedder has its bit on
+// every kept entry, so it matches the whole window unfiltered.
 // Per-query shedders make the drop decisions, so one query shedding its
 // low-utility events never starves another query that values them.  The
 // per-query output is bit-identical to running that query alone in a

@@ -164,7 +164,8 @@ SimResult OperatorSimulator::run(std::span<const Event> events,
 
     // The detector learns the *unshedded* cost (used for th and qmax); the
     // virtual clock advances by the *actual* (post-shedding) cost.
-    detector.observe_processing_cost(config_.cost.full_cost(memberships.size()));
+    detector.observe_processing_cost(
+        config_.cost.full_cost(memberships.size()));
     const double finish = start + config_.cost.full_cost(kept);
     prev_finish = finish;
     pending_completions.push_back(finish);

@@ -9,7 +9,8 @@ namespace {
 
 /// Hash-partitions `events` with the engine's fixed partitioner.
 std::vector<std::vector<Event>> partition_substreams(
-    std::size_t shards, const std::function<std::uint64_t(const Event&)>& key_of,
+    std::size_t shards,
+    const std::function<std::uint64_t(const Event&)>& key_of,
     std::span<const Event> events) {
   std::vector<std::vector<Event>> substreams(shards);
   for (const Event& e : events) {
@@ -62,7 +63,8 @@ std::vector<ComplexEvent> partitioned_serial_golden(
 }
 
 std::vector<std::vector<ComplexEvent>> per_query_serial_goldens(
-    std::size_t shards, const std::function<std::uint64_t(const Event&)>& key_of,
+    std::size_t shards,
+    const std::function<std::uint64_t(const Event&)>& key_of,
     std::span<const EngineQuery> queries, std::span<const Event> events) {
   ESPICE_REQUIRE(shards > 0, "need at least one shard");
   const auto substreams = partition_substreams(shards, key_of, events);

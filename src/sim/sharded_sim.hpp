@@ -63,7 +63,8 @@ std::vector<ComplexEvent> partitioned_serial_golden(
 /// shared-window equivalence guarantee;
 /// tests/runtime/multi_query_oracle_test.cpp holds the engine to it).
 std::vector<std::vector<ComplexEvent>> per_query_serial_goldens(
-    std::size_t shards, const std::function<std::uint64_t(const Event&)>& key_of,
+    std::size_t shards,
+    const std::function<std::uint64_t(const Event&)>& key_of,
     std::span<const EngineQuery> queries, std::span<const Event> events);
 
 class ShardedSimulator {

@@ -83,7 +83,9 @@ TEST_P(CdtProperties, ThresholdDeliversTheDemandedAmount) {
       const int th = cdt.threshold(x);
       ASSERT_GE(cdt.at(th), x);
       // Minimality: one utility step lower would not satisfy the demand.
-      if (th > 0) ASSERT_LT(cdt.at(th - 1), x);
+      if (th > 0) {
+        ASSERT_LT(cdt.at(th - 1), x);
+      }
     }
   }
 }

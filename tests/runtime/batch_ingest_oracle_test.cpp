@@ -337,65 +337,76 @@ TEST(BatchIngestOracle, MixedPushAndBatchMidStream) {
 
 // N = 5 queries (mixed windowing -> shared groups, mixed shedders ->
 // diverging masks): every query's batched output equals its per-event
-// output AND its independent serial golden.
+// output AND its independent serial golden.  The second input gives q2 and
+// q4 dead-row eSPICE shedders, so events both drop everywhere take the
+// bulk run with the keep-all q0's bit in the {0, 2, 4} group.
 TEST(BatchIngestOracle, FiveQueriesBatchedEqualsPerEventAndGoldens) {
   const std::uint64_t seed = test_support::test_seed(83);
   SCOPED_TRACE(test_support::seed_trace(seed));
   const auto events = random_stream(seed, 2500);
 
-  auto make_queries = [&]() {
-    std::vector<EngineQuery> queries;
-    for (std::size_t i = 0; i < 5; ++i) {
-      EngineQuery q;
-      q.name = "q" + std::to_string(i);
-      // Two window groups: {0, 2, 4} count/slide, {1, 3} predicate-open.
-      q.query = make_query(make_spec(
-          WindowSpan::kCount,
-          i % 2 == 0 ? WindowOpen::kCountSlide : WindowOpen::kPredicate));
-      q.predicted_ws = 24.0;
-      if (i == 1 || i == 4) {
-        const unsigned mod = 2 + static_cast<unsigned>(i);
-        q.shedder_factory = [mod](std::size_t) {
-          return std::make_unique<HashShedder>(mod);
-        };
-      } else if (i == 2) {
-        q.shedder_factory = [](std::size_t shard) {
-          return make_armed_espice(0xbead + shard);
-        };
+  for (const bool dead_rows : {false, true}) {
+    SCOPED_TRACE(dead_rows ? "dead-row eSPICE on q2 and q4"
+                           : "hash on q1 and q4, eSPICE on q2");
+    auto make_queries = [&]() {
+      std::vector<EngineQuery> queries;
+      for (std::size_t i = 0; i < 5; ++i) {
+        EngineQuery q;
+        q.name = "q" + std::to_string(i);
+        // Two window groups: {0, 2, 4} count/slide, {1, 3} predicate-open.
+        q.query = make_query(make_spec(
+            WindowSpan::kCount,
+            i % 2 == 0 ? WindowOpen::kCountSlide : WindowOpen::kPredicate));
+        q.predicted_ws = 24.0;
+        if (dead_rows && (i == 2 || i == 4)) {
+          const std::uint64_t model_seed = 0xdead + 16 * i;
+          q.shedder_factory = [model_seed](std::size_t shard) {
+            return make_armed_espice(model_seed + shard, /*dead_rows=*/true);
+          };
+        } else if (i == 1 || i == 4) {
+          const unsigned mod = 2 + static_cast<unsigned>(i);
+          q.shedder_factory = [mod](std::size_t) {
+            return std::make_unique<HashShedder>(mod);
+          };
+        } else if (i == 2) {
+          q.shedder_factory = [](std::size_t shard) {
+            return make_armed_espice(0xbead + shard);
+          };
+        }
+        queries.push_back(std::move(q));
       }
-      queries.push_back(std::move(q));
-    }
-    return queries;
-  };
+      return queries;
+    };
 
-  auto run = [&](std::size_t batch) {
-    StreamEngineConfig config;
-    config.shards = 2;
-    config.ring_capacity = 256;
-    StreamEngine engine(config);
-    for (const EngineQuery& q : make_queries()) engine.add_query(q);
-    if (batch == 0) {
-      for (const Event& e : events) engine.push(e);
-    } else {
-      const std::span<const Event> all(events);
-      for (std::size_t i = 0; i < events.size(); i += batch) {
-        engine.push_batch(all.subspan(i, std::min(batch, events.size() - i)));
+    auto run = [&](std::size_t batch) {
+      StreamEngineConfig config;
+      config.shards = 2;
+      config.ring_capacity = 256;
+      StreamEngine engine(config);
+      for (const EngineQuery& q : make_queries()) engine.add_query(q);
+      if (batch == 0) {
+        for (const Event& e : events) engine.push(e);
+      } else {
+        const std::span<const Event> all(events);
+        for (std::size_t i = 0; i < events.size(); i += batch) {
+          engine.push_batch(all.subspan(i, std::min(batch, events.size() - i)));
+        }
       }
+      return engine.finish();
+    };
+
+    const auto per_event = run(0);
+    const auto batched = run(256);
+    expect_same_report(batched, per_event);
+
+    const auto queries = make_queries();
+    const auto goldens =
+        per_query_serial_goldens(2, /*key_of=*/nullptr, queries, events);
+    ASSERT_EQ(batched.queries.size(), goldens.size());
+    for (std::size_t qi = 0; qi < goldens.size(); ++qi) {
+      expect_same_matches(batched.queries[qi].matches, goldens[qi],
+                          "golden for " + queries[qi].name);
     }
-    return engine.finish();
-  };
-
-  const auto per_event = run(0);
-  const auto batched = run(256);
-  expect_same_report(batched, per_event);
-
-  const auto queries = make_queries();
-  const auto goldens =
-      per_query_serial_goldens(2, /*key_of=*/nullptr, queries, events);
-  ASSERT_EQ(batched.queries.size(), goldens.size());
-  for (std::size_t qi = 0; qi < goldens.size(); ++qi) {
-    expect_same_matches(batched.queries[qi].matches, goldens[qi],
-                        "golden for " + queries[qi].name);
   }
 }
 

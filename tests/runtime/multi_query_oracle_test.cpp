@@ -10,6 +10,7 @@
 // sets x N in {1, 2, 5} x K in {1, 4}, seeded via ESPICE_TEST_SEED.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <tuple>
@@ -272,15 +273,29 @@ INSTANTIATE_TEST_SUITE_P(
 // the hardest sharing case (every query in one mask group, all keep sets
 // different).  Heavier stream than the randomized sweep.  The second input
 // gives queries 1 and 3 dead-row eSPICE shedders, so members of the
-// diverging group take the per-query drops_everywhere() early-out.
+// diverging group take the per-query drops_everywhere() early-out.  The
+// third gives queries 1-4 dead-row eSPICE shedders: events all four drop
+// everywhere take the group's bulk run with q0's keep-all bit.  In the
+// fourth q0 sheds too, so those runs only advance the windows.
 TEST(MultiQueryOracle, SharedGroupDistinctShedders) {
   const std::uint64_t seed = test_support::test_seed(93);
   SCOPED_TRACE(test_support::seed_trace(seed));
   const auto events = random_stream(seed, 4000);
 
-  for (const bool dead_row_espice : {false, true}) {
-    SCOPED_TRACE(dead_row_espice ? "dead-row eSPICE on queries 1 and 3"
-                                 : "hash shedders");
+  struct Input {
+    const char* label;
+    /// Queries with a dead-row eSPICE shedder; the others but q0 shed by
+    /// hash, and q0 keeps everything unless listed.
+    std::vector<std::size_t> dead_row_espice;
+  };
+  const Input inputs[] = {
+      {"hash shedders", {}},
+      {"dead-row eSPICE on queries 1 and 3", {1, 3}},
+      {"dead-row eSPICE on queries 1-4, q0 keeps all", {1, 2, 3, 4}},
+      {"dead-row eSPICE on all five queries", {0, 1, 2, 3, 4}},
+  };
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.label);
     std::vector<EngineQuery> queries;
     for (std::size_t i = 0; i < 5; ++i) {
       EngineQuery q;
@@ -290,7 +305,8 @@ TEST(MultiQueryOracle, SharedGroupDistinctShedders) {
            element("down", TypeSet{}, DirectionFilter::kFalling)});
       q.query.window = spec_from_pool(0);  // all five share one group
       q.predicted_ws = 24.0;
-      if (dead_row_espice && (i == 1 || i == 3)) {
+      const auto& dead_row = input.dead_row_espice;
+      if (std::find(dead_row.begin(), dead_row.end(), i) != dead_row.end()) {
         const std::uint64_t model_seed = 0xd1e0 + 16 * i;
         q.shedder_factory = [model_seed](std::size_t shard) {
           return make_dead_row_espice(model_seed + shard);
