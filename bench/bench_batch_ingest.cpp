@@ -61,14 +61,15 @@ StreamEngineConfig make_config() {
   StreamEngineConfig config;
   config.shards = 1;
   config.ring_capacity = 16384;
-  config.query.pattern = make_sequence(
+  ShardQuery& q = config.queries.emplace_back().query;
+  q.pattern = make_sequence(
       {element("up", TypeSet{}, DirectionFilter::kRising),
        element("down", TypeSet{}, DirectionFilter::kFalling),
        element("up2", TypeSet{}, DirectionFilter::kRising)});
-  config.query.window.span_kind = WindowSpan::kCount;
-  config.query.window.span_events = kSpan;
-  config.query.window.open_kind = WindowOpen::kCountSlide;
-  config.query.window.slide_events = kSlide;
+  q.window.span_kind = WindowSpan::kCount;
+  q.window.span_events = kSpan;
+  q.window.open_kind = WindowOpen::kCountSlide;
+  q.window.slide_events = kSlide;
   return config;
 }
 
@@ -129,8 +130,10 @@ int main(int argc, char** argv) {
   const int repeats = g_smoke ? 2 : 3;
   const auto events = make_stream(n_events);
   const unsigned hw_threads = std::thread::hardware_concurrency();
-  const auto golden_sig =
-      signature(partitioned_serial_golden(make_config(), events));
+  const StreamEngineConfig golden_cfg = make_config();
+  const auto golden_sig = signature(
+      per_query_serial_goldens(golden_cfg.shards, golden_cfg.key_of,
+                               golden_cfg.queries, events)[0]);
 
   std::printf(
       "=== Batched ingestion, single shard (span %zu, slide %zu, %zu "

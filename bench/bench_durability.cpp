@@ -76,14 +76,15 @@ StreamEngineConfig make_config(const std::string& durability_dir,
   StreamEngineConfig config;
   config.shards = 1;
   config.ring_capacity = 16384;
-  config.query.pattern =
+  ShardQuery& q = config.queries.emplace_back().query;
+  q.pattern =
       make_sequence({element("up", TypeSet{}, DirectionFilter::kRising),
                      element("down", TypeSet{}, DirectionFilter::kFalling),
                      element("up2", TypeSet{}, DirectionFilter::kRising)});
-  config.query.window.span_kind = WindowSpan::kCount;
-  config.query.window.span_events = kSpan;
-  config.query.window.open_kind = WindowOpen::kCountSlide;
-  config.query.window.slide_events = kSlide;
+  q.window.span_kind = WindowSpan::kCount;
+  q.window.span_events = kSpan;
+  q.window.open_kind = WindowOpen::kCountSlide;
+  q.window.slide_events = kSlide;
   if (!durability_dir.empty()) {
     DurabilityConfig d;
     d.dir = durability_dir;

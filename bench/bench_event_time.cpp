@@ -80,14 +80,15 @@ StreamEngineConfig make_config(std::int64_t disorder_bound) {
   StreamEngineConfig config;
   config.shards = kShards;
   config.ring_capacity = 16384;
-  config.query.pattern = make_sequence(
+  ShardQuery& q = config.queries.emplace_back().query;
+  q.pattern = make_sequence(
       {element("up", TypeSet{}, DirectionFilter::kRising),
        element("down", TypeSet{}, DirectionFilter::kFalling),
        element("up2", TypeSet{}, DirectionFilter::kRising)});
-  config.query.window.span_kind = WindowSpan::kCount;
-  config.query.window.span_events = kSpan;
-  config.query.window.open_kind = WindowOpen::kCountSlide;
-  config.query.window.slide_events = kSlide;
+  q.window.span_kind = WindowSpan::kCount;
+  q.window.span_events = kSpan;
+  q.window.open_kind = WindowOpen::kCountSlide;
+  q.window.slide_events = kSlide;
   if (disorder_bound >= 0) {
     EventTimeConfig et;
     et.disorder_bound = static_cast<std::uint64_t>(disorder_bound);

@@ -62,16 +62,16 @@ std::vector<Event> make_stream(std::size_t n) {
   return events;
 }
 
-ShardQuery make_query() {
-  ShardQuery q;
-  q.pattern = make_sequence(
+EngineQuery make_query() {
+  EngineQuery q;
+  q.query.pattern = make_sequence(
       {element("up", TypeSet{}, DirectionFilter::kRising),
        element("down", TypeSet{}, DirectionFilter::kFalling),
        element("up2", TypeSet{}, DirectionFilter::kRising)});
-  q.window.span_kind = WindowSpan::kCount;
-  q.window.span_events = kSpan;
-  q.window.open_kind = WindowOpen::kCountSlide;
-  q.window.slide_events = kSlide;
+  q.query.window.span_kind = WindowSpan::kCount;
+  q.query.window.span_events = kSpan;
+  q.query.window.open_kind = WindowOpen::kCountSlide;
+  q.query.window.slide_events = kSlide;
   return q;
 }
 
@@ -104,12 +104,13 @@ RunResult run_at(const std::vector<Event>& events, std::size_t shards,
   ShardedSimConfig config;
   config.engine.shards = shards;
   config.engine.ring_capacity = 4096;
-  config.engine.query = make_query();
+  config.engine.queries = {make_query()};
   // Sampled end-to-end latency (enqueue -> block released): every 64th
   // enqueue per shard, cheap enough not to perturb the throughput numbers.
   config.engine.latency_sample_every = 64;
-  const auto golden_sig =
-      signature(partitioned_serial_golden(config.engine, events));
+  const auto golden_sig = signature(
+      per_query_serial_goldens(config.engine.shards, config.engine.key_of,
+                               config.engine.queries, events)[0]);
   RunResult best;
   for (int r = 0; r < repeats; ++r) {
     ShardedSimulator sim(config);

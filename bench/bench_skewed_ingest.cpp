@@ -61,15 +61,15 @@ struct Workload {
 constexpr Workload kWorkloads[] = {
     {"uniform", 0.0}, {"zipf09", 0.9}, {"zipf12", 1.2}};
 
-ShardQuery make_query() {
-  ShardQuery q;
-  q.pattern = make_sequence(
+EngineQuery make_query() {
+  EngineQuery q;
+  q.query.pattern = make_sequence(
       {element("up", TypeSet{}, DirectionFilter::kRising),
        element("down", TypeSet{}, DirectionFilter::kFalling)});
-  q.window.span_kind = WindowSpan::kCount;
-  q.window.span_events = 512;
-  q.window.open_kind = WindowOpen::kCountSlide;
-  q.window.slide_events = 64;
+  q.query.window.span_kind = WindowSpan::kCount;
+  q.query.window.span_events = 512;
+  q.query.window.open_kind = WindowOpen::kCountSlide;
+  q.query.window.slide_events = 64;
   return q;
 }
 
@@ -81,6 +81,14 @@ std::vector<std::uint64_t> signature(const std::vector<ComplexEvent>& ms) {
     for (const auto& c : m.constituents) sig.push_back(c.event.seq);
   }
   return sig;
+}
+
+/// Signature of the serial golden over `shards` hash partitions.
+std::vector<std::uint64_t> golden_signature(std::size_t shards,
+                                            const std::vector<Event>& events) {
+  const EngineQuery q = make_query();
+  return signature(per_query_serial_goldens(shards, nullptr, {&q, 1},
+                                            events)[0]);
 }
 
 struct ShardGauge {
@@ -129,7 +137,7 @@ RunOut run_mp(const std::vector<Event>& events, std::size_t shards,
   config.shards = shards;
   config.producers = producers;
   config.ring_capacity = 4096;
-  config.query = make_query();
+  config.queries = {make_query()};
   RunOut best;
   for (int r = 0; r < repeats; ++r) {
     StreamEngine engine(config);
@@ -167,7 +175,7 @@ RunOut run_rebalance(const std::vector<Event>& events, std::size_t shards,
   StreamEngineConfig config;
   config.shards = shards;
   config.ring_capacity = 4096;
-  config.query = make_query();
+  config.queries = {make_query()};
   if (rebalance) {
     config.rebalance.emplace();
     config.rebalance->partitions = partitions;
@@ -251,11 +259,7 @@ int main(int argc, char** argv) {
                 "producers", "events/sec", "parity", "busy fractions",
                 "mean depths");
     for (std::size_t k : ks) {
-      StreamEngineConfig gcfg;
-      gcfg.shards = k;
-      gcfg.query = make_query();
-      const auto golden_sig =
-          signature(partitioned_serial_golden(gcfg, events));
+      const auto golden_sig = golden_signature(k, events);
       for (std::size_t p : ps) {
         const RunOut r = run_mp(events, k, p, golden_sig, repeats);
         parity_all = parity_all && r.parity;
@@ -295,7 +299,6 @@ int main(int argc, char** argv) {
   {
     StreamEngineConfig probe;
     probe.shards = 1;
-    probe.query = make_query();
     probe.rebalance.emplace();
     probe.rebalance->partitions = kPartitions;
     StreamEngine engine(probe);
@@ -306,11 +309,7 @@ int main(int argc, char** argv) {
                                             part_counts.end())) /
       static_cast<double>(zipf12.size());
 
-  StreamEngineConfig reb_golden_cfg;
-  reb_golden_cfg.shards = kPartitions;
-  reb_golden_cfg.query = make_query();
-  const auto reb_golden_sig =
-      signature(partitioned_serial_golden(reb_golden_cfg, zipf12));
+  const auto reb_golden_sig = golden_signature(kPartitions, zipf12);
   // The non-rebalanced runs hash keys straight onto K shards: different
   // partitioning of the match space, same canonical merge order.
   std::printf("--- rebalancing, zipf12 (hottest of %zu partitions: %.1f%%) "
@@ -329,10 +328,7 @@ int main(int argc, char** argv) {
       if (reb) {
         golden_sig_local = reb_golden_sig;
       } else {
-        StreamEngineConfig gcfg;
-        gcfg.shards = k;
-        gcfg.query = make_query();
-        golden_sig_local = signature(partitioned_serial_golden(gcfg, zipf12));
+        golden_sig_local = golden_signature(k, zipf12);
       }
       const RunOut r =
           run_rebalance(zipf12, k, reb, kPartitions, golden_sig_local);

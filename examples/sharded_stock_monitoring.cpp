@@ -48,12 +48,13 @@ int main() {
     StreamEngineConfig config;
     config.shards = shards;
     config.ring_capacity = 4096;
-    config.query = query;
+    config.queries.emplace_back().query = query;
     StreamEngine engine(config);
     for (const Event& e : events) engine.push(e);
     const EngineReport report = engine.finish();
 
-    const auto golden = partitioned_serial_golden(config, events);
+    const auto golden = per_query_serial_goldens(
+        config.shards, config.key_of, config.queries, events)[0];
     bool identical = golden.size() == report.matches.size();
     for (std::size_t i = 0; identical && i < golden.size(); ++i) {
       identical = golden[i].constituents.size() ==

@@ -266,7 +266,9 @@ bool EspiceShedder::decide(EventTypeId type, std::uint32_t position,
 bool EspiceShedder::should_drop(const Event& e, std::uint32_t position,
                                 double predicted_ws) {
   if (is_watermark(e)) return false;  // punctuations are never shed
-  if (!active_) {
+  if (!active_ || e.type >= model_->num_types()) {
+    // Inactive, or a type outside the model's universe (no UT row): keep,
+    // with no RNG draw, as BaselineShedder does.
     count_decision(false);
     return false;
   }
@@ -283,7 +285,7 @@ void EspiceShedder::score_block(const Event& e, const std::uint32_t* positions,
     for (std::size_t w = 0; w < (n + 63) / 64; ++w) keep_bits[w] = ~0ULL;
     return;
   }
-  if (!active_) {
+  if (!active_ || e.type >= model_->num_types()) {  // as in should_drop()
     for (std::size_t w = 0; w < (n + 63) / 64; ++w) keep_bits[w] = ~0ULL;
     count_block(n, 0);
     return;

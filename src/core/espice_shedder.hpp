@@ -36,6 +36,11 @@
 // the general path computes is an average of row cells, so it never exceeds
 // the row maximum and the answer holds for every window size too.
 //
+// An event whose type lies outside the model's universe has no UT row: an
+// engine's router cannot know the universe, so should_drop() and
+// score_block() keep such an event, counting keep decisions with no RNG
+// draw (as BaselineShedder does), checked once per event.
+//
 // Control plane: on_command() (re)computes the per-partition utility
 // thresholds from the CDTs and re-broadcasts the flat arrays; CDT sets are
 // cached per partition count (flat, partition-count-indexed) so a command

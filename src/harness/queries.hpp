@@ -59,13 +59,13 @@ QueryDef make_q4(const StockGenerator& gen, std::size_t window_events,
                  SelectionPolicy selection = SelectionPolicy::kFirst);
 
 /// QueryDef -> engine registration: bridges a harness-level query to the
-/// runtime's multi-query API.  Attach a per-query shedding policy through
-/// `shedder_factory` (same determinism contract as
-/// StreamEngineConfig::shedder_factory) and `predicted_ws` (required for
-/// non-count windows when a shedder is present).  Typical use:
+/// runtime's query list.  Attach a per-query shedding policy through
+/// `shedder_factory` (determinism contract: EngineQuery::shedder_factory)
+/// and `predicted_ws` (required for non-count windows when a shedder is
+/// present).  Typical use:
 ///
+///   config.queries.push_back(to_engine_query(make_q1(gen, 3)));
 ///   StreamEngine engine(config);
-///   engine.add_query(to_engine_query(make_q1(gen, 3)));
 ///   engine.add_query(to_engine_query(make_q3(gen, 200)));
 EngineQuery to_engine_query(
     const QueryDef& query,

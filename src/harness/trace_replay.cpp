@@ -69,14 +69,15 @@ EngineReport run_section(const std::string& name,
   StreamEngineConfig config;
   config.shards = o.shards;
   config.ring_capacity = 256;
-  config.query.pattern =
+  EngineQuery& q = config.queries.emplace_back();
+  q.query.pattern =
       make_sequence({element("up", TypeSet{}, DirectionFilter::kRising),
                      element("down", TypeSet{}, DirectionFilter::kFalling)});
-  config.query.window = section_spec(name);
-  config.predicted_ws = kPredictedWs;
+  q.query.window = section_spec(name);
+  q.predicted_ws = kPredictedWs;
   if (o.drop_mod != 0) {
     const unsigned mod = o.drop_mod;
-    config.shedder_factory = [mod](std::size_t) {
+    q.shedder_factory = [mod](std::size_t) {
       return std::make_unique<TraceHashShedder>(mod);
     };
   }

@@ -146,16 +146,33 @@ void validate_engine(const StreamEngineConfig& c) {
   if (c.adaptive.has_value()) {
     c.adaptive->validate();
     // start() builds the adaptive query and its shedders from `adaptive`
-    // alone; these deterministic-mode fields would be silently ignored.
-    ESPICE_REQUIRE(c.shedder_factory == nullptr,
-                   "adaptive mode sheds with its own eSPICE controller; "
-                   "shedder_factory would be ignored");
-    ESPICE_REQUIRE(c.predicted_ws == 0.0,
-                   "adaptive mode learns its window size; predicted_ws "
+    // alone; deterministic queries would be silently ignored.
+    ESPICE_REQUIRE(c.queries.empty(),
+                   "adaptive mode runs the query in `adaptive`; `queries` "
                    "would be ignored");
-    ESPICE_REQUIRE(c.query.pattern.elements.empty(),
-                   "adaptive mode runs the query in `adaptive`; `query` "
-                   "would be ignored");
+  }
+}
+
+/// True when `events` may hold a reserved control record: one branch-free
+/// pass, as both reserved types top the type space.
+bool reserved_type_in(std::span<const Event> events) {
+  static_assert(kWatermarkType == std::numeric_limits<EventTypeId>::max() &&
+                kPartitionControlType == kWatermarkType - 1);
+  bool hit = false;
+  for (const Event& e : events) hit |= e.type >= kPartitionControlType;
+  return hit;
+}
+
+/// The exact check behind a reserved_type_in() hit: refuses a
+/// partition-control record always (migration markers are the router's
+/// own), a watermark unless event time is on.
+void refuse_reserved(std::span<const Event> events, bool event_time) {
+  for (const Event& e : events) {
+    ESPICE_REQUIRE(!is_partition_control(e),
+                   "partition-control records are reserved for the "
+                   "engine's own migrations");
+    ESPICE_REQUIRE(event_time || !is_watermark(e),
+                   "watermark pushed without event_time configured");
   }
 }
 
@@ -168,13 +185,25 @@ ShardQuery adaptive_query(const EspiceOperatorConfig& config) {
 
 void StreamEngineConfig::validate() const {
   validate_engine(*this);
-  if (adaptive.has_value()) return;
-  query.pattern.validate();
-  query.window.validate();
-  if (shedder_factory != nullptr) {
-    ESPICE_REQUIRE(
-        predicted_ws > 0.0 || query.window.span_kind == WindowSpan::kCount,
-        "non-count windows need an explicit predicted_ws to shed");
+  if (adaptive.has_value()) {
+    adaptive->pattern.validate();
+    return;
+  }
+  ESPICE_REQUIRE(!queries.empty(),
+                 "deterministic mode needs at least one query");
+  ESPICE_REQUIRE(queries.size() <= kMaxQueriesPerWindowManager,
+                 "too many queries for one engine");
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const EngineQuery& q = queries[i];
+    q.query.pattern.validate();
+    q.query.window.validate();
+    if (q.shedder_factory != nullptr) {
+      ESPICE_REQUIRE(q.predicted_ws > 0.0 ||
+                         q.query.window.span_kind == WindowSpan::kCount,
+                     "non-count windows need an explicit predicted_ws to "
+                     "shed (query " +
+                         std::to_string(i) + ")");
+    }
   }
 }
 
@@ -328,43 +357,23 @@ std::size_t StreamEngine::add_query(EngineQuery q) {
   ESPICE_REQUIRE(!started_, "add_query() after the engine started");
   ESPICE_REQUIRE(!config_.adaptive.has_value(),
                  "the adaptive engine is single-query");
-  ESPICE_REQUIRE(queries_.size() < kMaxQueriesPerWindowManager,
-                 "too many queries for one engine");
-  queries_.push_back(std::move(q));
-  return queries_.size() - 1;
+  config_.queries.push_back(std::move(q));
+  return config_.queries.size() - 1;
 }
 
 void StreamEngine::start() {
   if (started_) return;
   started_ = true;
 
+  config_.validate();
+  std::vector<EngineQuery>& queries = config_.queries;
   if (config_.adaptive.has_value()) {
     // Adaptive mode: the query comes from `adaptive`; its shedders come
     // from one controller per partition (below).
-    EngineQuery q;
-    q.query = adaptive_query(*config_.adaptive);
-    queries_.push_back(std::move(q));
-  } else if (queries_.empty()) {
-    // Legacy single-query path: adopt the config's query as query 0.
-    config_.validate();
-    EngineQuery q;
-    q.query = config_.query;
-    q.shedder_factory = config_.shedder_factory;
-    q.predicted_ws = config_.predicted_ws;
-    queries_.push_back(std::move(q));
+    queries.emplace_back().query = adaptive_query(*config_.adaptive);
   }
-  for (std::size_t i = 0; i < queries_.size(); ++i) {
-    EngineQuery& q = queries_[i];
-    q.query.pattern.validate();
-    q.query.window.validate();
-    if (q.shedder_factory != nullptr) {
-      ESPICE_REQUIRE(q.predicted_ws > 0.0 ||
-                         q.query.window.span_kind == WindowSpan::kCount,
-                     "non-count windows need an explicit predicted_ws to "
-                     "shed (query " +
-                         std::to_string(i) + ")");
-    }
-    if (q.name.empty()) q.name = "q" + std::to_string(i);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (queries[i].name.empty()) queries[i].name = "q" + std::to_string(i);
   }
 
   if (config_.durability.has_value()) {
@@ -428,12 +437,12 @@ void StreamEngine::start() {
       shedders = controllers_.back()->make_shedders();
       continue;
     }
-    shedders.reserve(queries_.size());
-    for (const EngineQuery& q : queries_) {
+    shedders.reserve(queries.size());
+    for (const EngineQuery& q : queries) {
       shedders.push_back(q.shedder_factory ? q.shedder_factory(p) : nullptr);
     }
   }
-  part_out_.assign(nparts, MergeUnit(queries_.size()));
+  part_out_.assign(nparts, MergeUnit(queries.size()));
   for (auto& s : shards_) s->parts.resize(nparts);
   start_ = std::chrono::steady_clock::now();
   try {
@@ -533,58 +542,6 @@ void StreamEngine::fail_for_shard(Shard& s) {
                 std::to_string(s.progress.load(std::memory_order_relaxed)) +
                 " events: " + what;
   throw Error(ErrorCode::kShardFailed, last_error_);
-}
-
-void StreamEngine::push(const Event& e) {
-  ESPICE_REQUIRE(!finished_, "push() after finish()");
-  ESPICE_REQUIRE(config_.producers == 0,
-                 "multi-producer mode: use push_batch_concurrent()");
-  ensure_accepting("push()");
-  if (!started_) start();
-  // Write-ahead: the event is in the log before any shard can observe it,
-  // so everything a recovered run may have partially processed is
-  // replayable.  Replay itself flows through here with appends suppressed
-  // (the events come *from* the log).
-  if (log_ != nullptr && !replaying_) {
-    wal_append(std::span<const Event>(&e, 1));
-  }
-  if (is_watermark(e)) {
-    ESPICE_REQUIRE(config_.event_time.has_value(),
-                   "watermark pushed without event_time configured");
-    route_punctuation(e);
-    if (log_ != nullptr && !replaying_) {
-      ++events_since_snapshot_;
-      maybe_auto_checkpoint();
-    }
-    return;
-  }
-  const std::size_t p = bucket(key_hash(e), placement_.size());
-  if (config_.rebalance.has_value()) {
-    ++part_counts_[p];
-    ++window_routed_;
-  }
-  const std::size_t si = placement_[p];
-  enqueue_to(si, &e, 1, /*data=*/true);
-  ++pushed_;
-  if (config_.event_time.has_value()) {
-    if (!router_max_valid_ || e.seq > router_max_seq_) {
-      router_max_seq_ = e.seq;
-      router_max_valid_ = true;
-    }
-    ++data_since_hb_;
-  }
-  if (log_ != nullptr) {
-    ++pushed_per_shard_[si];
-    if (!replaying_) {
-      ++events_since_snapshot_;
-      maybe_auto_checkpoint();
-    }
-  }
-  if (config_.rebalance.has_value() &&
-      window_routed_ >= config_.rebalance->interval_events) {
-    decide_moves();
-  }
-  maybe_heartbeat();
 }
 
 void StreamEngine::route_punctuation(const Event& p) {
@@ -749,11 +706,14 @@ void StreamEngine::push_data_segment(std::span<const Event> events) {
       take = static_cast<std::size_t>(std::min<std::uint64_t>(take, room));
     }
     const std::span<const Event> chunk = events.subspan(i, take);
-    if (placement_.size() == 1) {
-      // Single partition: everything routes to shard 0 -- no hashing, no
-      // staging copy, bulk enqueue straight from the caller's span.
-      enqueue_to(0, chunk.data(), chunk.size(), /*data=*/true);
-      if (log_ != nullptr) pushed_per_shard_[0] += chunk.size();
+    if (placement_.size() == 1 || take == 1) {
+      // One destination -- a single partition, or one event (per-event
+      // push()): no staging copy, enqueue straight from the caller's span.
+      const std::size_t p = bucket(key_hash(chunk[0]), placement_.size());
+      if (rebalancing) part_counts_[p] += take;
+      const std::size_t s = placement_[p];
+      enqueue_to(s, chunk.data(), take, /*data=*/true);
+      if (log_ != nullptr) pushed_per_shard_[s] += take;
     } else {
       stage(chunk, staging_[0]);
       flush_staged(0);
@@ -789,9 +749,15 @@ void StreamEngine::push_batch(std::span<const Event> events) {
                  "multi-producer mode: use push_batch_concurrent()");
   ensure_accepting("push_batch()");
   if (events.empty()) return;
+  // Ahead of the WAL append: a refused record must never replay as data.
+  // A batch that passes despite a hit holds watermarks under event time.
+  const bool punctuated = reserved_type_in(events);
+  if (punctuated) refuse_reserved(events, config_.event_time.has_value());
   if (!started_) start();
   if (log_ != nullptr && !replaying_) wal_append(events);
-  if (config_.event_time.has_value()) {
+  if (!punctuated) {
+    push_data_segment(events);
+  } else {
     // Punctuations broadcast to every shard and must keep their arrival
     // position relative to the data around them: split the batch at
     // watermark records, flushing each punctuation-free run in bulk.
@@ -807,8 +773,6 @@ void StreamEngine::push_batch(std::span<const Event> events) {
       push_data_segment(events.subspan(i, j - i));
       i = j;
     }
-  } else {
-    push_data_segment(events);
   }
   if (log_ != nullptr && !replaying_) {
     events_since_snapshot_ += events.size();
@@ -819,7 +783,7 @@ void StreamEngine::push_batch(std::span<const Event> events) {
 
 void StreamEngine::run_shard(Shard& shard) {
   try {
-    const std::size_t nq = queries_.size();
+    const std::size_t nq = config_.queries.size();
     const std::size_t me = shard.stats.shard;
     const std::size_t nparts = shard.parts.size();
     const bool rebalancing = config_.rebalance.has_value();
@@ -832,7 +796,7 @@ void StreamEngine::run_shard(Shard& shard) {
     // router-owned and already mutating.
     for (std::size_t p = me; p < nparts; p += config_.shards) {
       shard.parts[p] = std::make_unique<DetPipeline>(
-          std::span<const EngineQuery>(queries_.data(), queries_.size()),
+          std::span<const EngineQuery>(config_.queries),
           std::move(part_shedders_[p]),
           config_.event_time.has_value() ? &*config_.event_time : nullptr,
           controllers_.empty()
@@ -1157,12 +1121,10 @@ void StreamEngine::push_batch_concurrent(std::size_t producer,
     throw Error(ErrorCode::kShardFailed,
                 "push_batch_concurrent() on an engine with a failed shard");
   }
+  // Event time is off in this mode, so every reserved record is refused.
+  if (reserved_type_in(events)) refuse_reserved(events, /*event_time=*/false);
   std::uint64_t max_seq = 0;
-  for (const Event& e : events) {
-    ESPICE_REQUIRE(!is_watermark(e),
-                   "watermarks are not supported in multi-producer mode");
-    max_seq = std::max(max_seq, e.seq);
-  }
+  for (const Event& e : events) max_seq = std::max(max_seq, e.seq);
   // Stage producer-privately with the router's own routing loop (placement
   // is fixed in this mode, so it is read-only here).
   stage(events, staging_[producer]);
@@ -1309,111 +1271,77 @@ void StreamEngine::open_durability() {
   snaps_ = std::make_unique<durability::SnapshotStore>(d.dir + "/snapshots");
 }
 
-bool StreamEngine::wal_retry(const std::function<void()>& op,
-                             std::string& detail) {
+bool StreamEngine::on_wal_fault(const char* op, std::string detail,
+                                const std::function<void()>& retry) {
+  ++wal_errors_;
   const DurabilityConfig& d = *config_.durability;
-  std::uint64_t sleep_us = d.wal_retry_backoff_us;
-  for (std::uint64_t attempt = 0; attempt < d.wal_retry_max; ++attempt) {
-    std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-    sleep_us = std::min<std::uint64_t>(sleep_us * 2, 100000);  // cap 100ms
+  if (d.on_wal_error == WalErrorPolicy::kDegradeToMemory) {
+    wal_degraded_ = true;
+    // Seal the durable prefix at an offset the log can actually honor
+    // after a power loss: a best-effort final sync promotes everything
+    // appended so far; if that sync also fails, fall back to the last
+    // offset a successful fsync covered.  (Under FsyncPolicy::kNone --
+    // process-crash durability only, nothing is synced by policy -- the
+    // full appended prefix is reported: it is on disk and recovery replays
+    // it as long as the power stayed on, which is all that policy ever
+    // promised.)
+    std::uint64_t sealed = log_->next_index();
     try {
-      op();
-      return true;
-    } catch (const Error& e) {
+      log_->sync();
+    } catch (const Error&) {
       ++wal_errors_;
-      detail = e.what();
+      if (d.fsync != durability::FsyncPolicy::kNone) {
+        sealed = log_->synced_index();
+      }
     }
+    degraded_at_offset_ = sealed;
+    if (state_ != EngineState::kFailed) state_ = EngineState::kDegraded;
+    last_error_ = "WAL degraded to memory-only at offset " +
+                  std::to_string(degraded_at_offset_) + ": " + detail;
+    return false;
   }
-  return false;
-}
-
-void StreamEngine::degrade_wal(const std::string& detail) {
-  wal_degraded_ = true;
-  // Seal the durable prefix at an offset the log can actually honor after
-  // a power loss: a best-effort final sync promotes everything appended so
-  // far; if that sync also fails, fall back to the last offset a
-  // successful fsync covered.  (Under FsyncPolicy::kNone -- process-crash
-  // durability only, nothing is synced by policy -- the full appended
-  // prefix is reported: it is on disk and recovery replays it as long as
-  // the power stayed on, which is all that policy ever promised.)
-  std::uint64_t sealed = log_->next_index();
-  try {
-    log_->sync();
-  } catch (const Error&) {
-    ++wal_errors_;
-    if (config_.durability->fsync != durability::FsyncPolicy::kNone) {
-      sealed = log_->synced_index();
+  if (d.on_wal_error == WalErrorPolicy::kRetryBackoff) {
+    std::uint64_t sleep_us = d.wal_retry_backoff_us;
+    for (std::uint64_t attempt = 0; attempt < d.wal_retry_max; ++attempt) {
+      std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
+      sleep_us = std::min<std::uint64_t>(sleep_us * 2, 100000);  // cap 100ms
+      try {
+        retry();
+        return true;
+      } catch (const Error& e) {
+        ++wal_errors_;
+        detail = e.what();
+      }
     }
+    // fall through: retries exhausted, fail stop
   }
-  degraded_at_offset_ = sealed;
-  if (state_ != EngineState::kFailed) state_ = EngineState::kDegraded;
-  last_error_ = "WAL degraded to memory-only at offset " +
-                std::to_string(degraded_at_offset_) + ": " + detail;
+  state_ = EngineState::kFailed;
+  last_error_ = std::string(op) + " failed (fail-stop): " + detail;
+  throw Error(ErrorCode::kIo, last_error_);
 }
 
 void StreamEngine::wal_append(std::span<const Event> events) {
   if (wal_degraded_) return;  // durable prefix sealed; memory-only from here
   const std::uint64_t before = log_->next_index();
-  std::string detail;
   try {
     log_->append_batch(events);
-    return;
   } catch (const Error& e) {
-    ++wal_errors_;
-    detail = e.what();
+    // A retry discriminates where the failure hit: if next_index() moved
+    // past the pre-append mark, the records landed and only the policy
+    // fsync failed -- retry sync(), not a re-append (which would duplicate
+    // the batch).  Otherwise the append itself failed (torn tail already
+    // repaired by the writer) and the whole batch is retried.  The check
+    // runs on EVERY attempt: a retried append can itself land the records
+    // and then die in its policy fsync, after which the next attempt must
+    // sync, not append the batch a second time.
+    on_wal_fault("WAL append", e.what(), [&] {
+      if (log_->next_index() != before) {
+        log_->sync();
+      } else {
+        log_->append_batch(events);
+      }
+    });
   }
-  const DurabilityConfig& d = *config_.durability;
-  if (d.on_wal_error == WalErrorPolicy::kRetryBackoff) {
-    // Discriminate where the failure hit: if next_index() advanced past the
-    // pre-append mark, the records landed and only the policy fsync failed
-    // -- retry sync(), not a re-append (which would duplicate the batch).
-    // Otherwise the append itself failed (torn tail already repaired by the
-    // writer) and the whole batch is retried.  The discrimination runs
-    // inside the lambda, on EVERY attempt: a retried append can itself land
-    // the records and then die in its policy fsync, after which the next
-    // attempt must sync, not append the batch a second time.
-    const bool ok = wal_retry(
-        [&] {
-          if (log_->next_index() != before) {
-            log_->sync();
-          } else {
-            log_->append_batch(events);
-          }
-        },
-        detail);
-    if (ok) return;
-    // fall through: retries exhausted, fail stop
-  } else if (d.on_wal_error == WalErrorPolicy::kDegradeToMemory) {
-    degrade_wal(detail);
-    return;
-  }
-  state_ = EngineState::kFailed;
-  last_error_ = "WAL append failed (fail-stop): " + detail;
-  throw Error(ErrorCode::kIo, last_error_);
-}
-
-void StreamEngine::wal_sync_for_checkpoint() {
-  std::string detail;
-  try {
-    log_->sync();
-    return;
-  } catch (const Error& e) {
-    ++wal_errors_;
-    detail = e.what();
-  }
-  const DurabilityConfig& d = *config_.durability;
-  if (d.on_wal_error == WalErrorPolicy::kRetryBackoff) {
-    if (wal_retry([&] { log_->sync(); }, detail)) return;
-  } else if (d.on_wal_error == WalErrorPolicy::kDegradeToMemory) {
-    // The log can no longer be made durable up to the cut, so the snapshot
-    // must not be published: seal the durable prefix and abort this
-    // checkpoint (typed), while ingestion itself continues memory-only.
-    degrade_wal(detail);
-    throw Error(ErrorCode::kIo, "checkpoint aborted: " + last_error_);
-  }
-  state_ = EngineState::kFailed;
-  last_error_ = "WAL sync failed before checkpoint (fail-stop): " + detail;
-  throw Error(ErrorCode::kIo, last_error_);
 }
 
 void StreamEngine::maybe_auto_checkpoint() {
@@ -1443,13 +1371,22 @@ void StreamEngine::checkpoint() {
 
   // The log must be durable up to the cut before a snapshot keyed by it is
   // published -- otherwise a power loss could leave a snapshot whose replay
-  // tail never reached the disk.  An fsync failure here is routed through
-  // the on_wal_error policy (retry / degrade-and-abort / fail-stop).
-  wal_sync_for_checkpoint();
+  // tail never reached the disk.  An fsync failure here takes the
+  // on_wal_error ladder; once degraded, the log can no longer be made
+  // durable up to the cut, so this checkpoint aborts (typed) while
+  // ingestion itself continues memory-only.
+  try {
+    log_->sync();
+  } catch (const Error& e) {
+    if (!on_wal_fault("WAL sync before checkpoint", e.what(),
+                      [this] { log_->sync(); })) {
+      throw Error(ErrorCode::kIo, "checkpoint aborted: " + last_error_);
+    }
+  }
 
   durability::SnapshotWriter w;
   w.u64(config_.shards);
-  w.u64(std::max<std::size_t>(queries_.size(), 1));
+  w.u64(config_.queries.size());
   w.u64(pushed_);
   // Router-side event-time state: replay after recovery must see the same
   // heartbeat cadence and watermark base as the original run, so the
@@ -1547,7 +1484,7 @@ RecoveryReport StreamEngine::recover_and_start() {
                  "snapshot was cut with " + std::to_string(k) +
                      " shards, engine is configured with " +
                      std::to_string(config_.shards));
-    ESPICE_CHECK(nq == std::max<std::size_t>(queries_.size(), 1),
+    ESPICE_CHECK(nq == config_.queries.size(),
                  ErrorCode::kCorruptSnapshot,
                  "snapshot was cut with a different query count");
     ESPICE_CHECK(offset == loaded->log_offset, ErrorCode::kCorruptSnapshot,
@@ -1680,31 +1617,15 @@ EngineReport StreamEngine::finish() {
   }
   // End of stream: whatever was appended under a lazy fsync policy becomes
   // durable now, so a clean shutdown never loses suffix events.  Safe to
-  // throw here -- the threads are already joined.
+  // throw here -- the threads are already joined.  Degraded, the run's
+  // output is still complete and correct (only the tail's durability is
+  // lost): it finishes normally with the report flagged.
   if (log_ != nullptr && !wal_degraded_) {
-    std::string detail;
     try {
       log_->sync();
     } catch (const Error& e) {
-      ++wal_errors_;
-      detail = e.what();
-      const DurabilityConfig& d = *config_.durability;
-      bool recovered = false;
-      if (d.on_wal_error == WalErrorPolicy::kRetryBackoff) {
-        recovered = wal_retry([&] { log_->sync(); }, detail);
-      }
-      if (!recovered) {
-        if (d.on_wal_error == WalErrorPolicy::kDegradeToMemory) {
-          // The run's output is complete and correct; only the tail's
-          // durability is lost.  Finish normally and flag the report.
-          degrade_wal(detail);
-        } else {
-          // kFailStop, and kRetryBackoff once retries are exhausted.
-          state_ = EngineState::kFailed;
-          last_error_ = "end-of-stream WAL sync failed (fail-stop): " + detail;
-          throw Error(ErrorCode::kIo, last_error_);
-        }
-      }
+      on_wal_fault("end-of-stream WAL sync", e.what(),
+                   [this] { log_->sync(); });
     }
   }
 
@@ -1718,7 +1639,7 @@ EngineReport StreamEngine::finish() {
   report.wall_seconds = wall;
   report.events_per_sec =
       wall > 0.0 ? static_cast<double>(report.events) / wall : 0.0;
-  const std::size_t nq = std::max<std::size_t>(queries_.size(), 1);
+  const std::size_t nq = config_.queries.size();
 
   // The merge unit is the PARTITION, not the shard: a partition's pipeline
   // (with all its outputs) may have migrated, but it ends the run resident
@@ -1733,8 +1654,7 @@ EngineReport StreamEngine::finish() {
   report.queries.resize(nq);
   for (std::size_t qi = 0; qi < nq; ++qi) {
     QueryReport& qr = report.queries[qi];
-    qr.name = qi < queries_.size() ? queries_[qi].name
-                                   : "q" + std::to_string(qi);
+    qr.name = config_.queries[qi].name;
     std::vector<std::vector<ComplexEvent>> per_unit;
     per_unit.reserve(units.size());
     for (MergeUnit& u : units) {

@@ -6,10 +6,10 @@
 // is fed through a bounded SPSC ring buffer, and a merge stage collects the
 // shards' complex events and statistics into one ordered output.
 //
-//   push(e) --router--> [SpscRing 0] --> shard 0 (windows+matcher+shedder)
-//                       [SpscRing 1] --> shard 1        ...
-//                       [SpscRing K-1] --> shard K-1
-//   finish() ----------> join shards --> canonical merge --> EngineReport
+//   push_batch --router--> [SpscRing 0] --> shard 0 (windows+matcher+shedder)
+//                          [SpscRing 1] --> shard 1        ...
+//                          [SpscRing K-1] --> shard K-1
+//   finish() ------------> join shards --> canonical merge --> EngineReport
 //
 // Partitioning semantics: each shard runs an *independent* operator over its
 // substream -- windows are formed per shard, exactly as if the substream
@@ -35,8 +35,9 @@
 // queue-size (backpressure) signal -- adaptive results depend on the wall
 // clock and are not bit-stable.
 //
-// Threading contract: push(), push_batch() and finish() must be called from
-// one thread (the router); each shard's pipeline runs on its own thread;
+// Threading contract: push_batch() (and push(), which is push_batch() of
+// one event) and finish() must be called from one thread (the router); each
+// shard's pipeline runs on its own thread;
 // the report is only handed out after every shard thread joined, so no
 // synchronization beyond the rings is needed.
 //
@@ -64,10 +65,16 @@
 // is output-bit-identical to per-event execution
 // (tests/runtime/batch_ingest_oracle_test.cpp enforces it, and
 // tests/runtime/pipeline_block_oracle_test.cpp for arbitrary block cuts),
-// so push() and push_batch() are interchangeable mid-stream.
+// so batch boundaries never change output.
 //
-// Multi-query execution: add_query() registers N queries before the first
-// push(); shard threads spawn lazily on the first push (or an explicit
+// Front door: push_batch() is the one ingestion path of the single router
+// (push() is a batch of one).  It refuses a batch holding a reserved
+// control record -- a partition-control record always, a watermark when
+// event time is off -- before the batch is logged or routed.
+//
+// Multi-query execution: the engine runs the N queries of
+// StreamEngineConfig::queries (add_query() appends to it before the first
+// push); shard threads spawn lazily on the first push (or an explicit
 // start()).  Queries with identical windowing (same_windowing()) share one
 // WindowManager/EventStore per shard -- events are routed, buffered and
 // positioned once, and each query keeps its own subset of every window via
@@ -121,17 +128,23 @@ struct ShardQuery {
 /// The query of an adaptive operator config.
 ShardQuery adaptive_query(const EspiceOperatorConfig& config);
 
-/// One registered query of a (multi-query) engine run: the query itself
-/// plus its per-query shedding policy.
+/// One query of a deterministic engine run (StreamEngineConfig::queries):
+/// the query itself plus its shedding policy.
 struct EngineQuery {
   /// Report label; empty = "q<index>".
   std::string name;
   ShardQuery query;
-  /// Per-shard shedder factory for THIS query; nullptr = keep everything.
-  /// Same determinism contract as StreamEngineConfig::shedder_factory.
+  /// Shedder factory for THIS query; nullptr = keep everything.  Runs on
+  /// the router thread at start(), once per logical partition (the
+  /// argument; the shard index without rebalancing); each shedder is then
+  /// owned and driven by the thread hosting its partition only.  Must be
+  /// deterministic (seq/position hash) for the engine's determinism
+  /// guarantee to hold.
   std::function<std::unique_ptr<Shedder>(std::size_t shard)> shedder_factory;
-  /// Window size handed to this query's shedder (0 = derive from its
-  /// count-window span).
+  /// Window size handed to this query's shedder for position scaling; 0 =
+  /// derive from its count-window span (required explicit for
+  /// time/predicate windows when a shedder is present, as in
+  /// run_pipeline()).
   double predicted_ws = 0.0;
 };
 
@@ -300,16 +313,12 @@ struct StreamEngineConfig {
   std::function<std::uint64_t(const Event&)> key_of;
 
   // --- deterministic mode (used when `adaptive` is empty) ------------------
-  ShardQuery query;
-  /// Per-shard shedder factory; nullptr = keep everything.  The factory runs
-  /// on the router thread at start(); each shedder is then owned and driven
-  /// by its shard's thread only.  Must be deterministic (seq/position hash)
-  /// for the engine's determinism guarantee to hold.
-  std::function<std::unique_ptr<Shedder>(std::size_t shard)> shedder_factory;
-  /// Window size handed to shedders for position scaling; 0 = derive from
-  /// count-window span (required explicit for time/predicate windows when a
-  /// shedder is present, as in run_pipeline()).
-  double predicted_ws = 0.0;
+  /// The queries the engine runs, in registration order: a query's index is
+  /// its bit in the keep masks and its slot in EngineReport::queries.
+  /// add_query() appends here.  Deterministic mode needs at least one by
+  /// start() (at most kMaxQueriesPerWindowManager); adaptive mode needs it
+  /// empty.
+  std::vector<EngineQuery> queries;
 
   // --- adaptive mode -------------------------------------------------------
   /// When set, the engine runs this config's query, and every partition
@@ -317,10 +326,9 @@ struct StreamEngineConfig {
   /// shedding lifecycle, drift retraining).  The detector ticks per drained
   /// block: each block's busy time feeds its per-event cost and arrivals,
   /// and once `detector.tick_period` wall seconds passed since the last
-  /// tick, the shard's ring depth is the queue size.  Excludes the
-  /// deterministic query fields (`query`, `shedder_factory`,
-  /// `predicted_ws`), add_query(), multi-producer ingestion, rebalancing,
-  /// durability and event time.
+  /// tick, the shard's ring depth is the queue size.  Requires `queries`
+  /// empty (so no add_query()); excludes multi-producer ingestion,
+  /// rebalancing, durability and event time.
   std::optional<EspiceOperatorConfig> adaptive;
 
   // --- durability ----------------------------------------------------------
@@ -499,30 +507,30 @@ class StreamEngine {
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
 
-  /// Registers one more query (multi-query mode; deterministic only).  Must
-  /// be called before the first push().  When never called, the engine runs
-  /// the legacy single-query config (config.query / shedder_factory /
-  /// predicted_ws) as query 0.  Returns the query's index (its bit in the
-  /// keep masks and its slot in EngineReport::queries).
+  /// Appends one query to config.queries (deterministic mode only).  Must
+  /// be called before the first push().  Returns the query's index (its
+  /// bit in the keep masks and its slot in EngineReport::queries).
   std::size_t add_query(EngineQuery q);
 
   /// Spawns the shard threads.  Idempotent; called implicitly by the first
   /// push() (and by finish() on an empty run).
   void start();
 
-  /// Routes one event to its shard, in stream order.  Blocks (spins) while
-  /// the shard's ring is full -- backpressure instead of unbounded queues.
-  void push(const Event& e);
+  /// Routes one event: push_batch() of a batch of one.
+  void push(const Event& e) { push_batch(std::span<const Event>(&e, 1)); }
 
-  /// Batched ingestion: routes a whole batch, bit-identical in output to
-  /// `for (e : events) push(e)` but with the per-event costs amortized: the
-  /// batch is key-partitioned into per-shard staging buffers (one hash per
-  /// event, no ring touch) and each staging buffer is flushed with ONE bulk
-  /// ring enqueue per block -- one acquire/release cursor pair instead of
-  /// one per event.  A single-shard engine skips staging entirely and bulk-
-  /// pushes straight from the caller's span.  Same backpressure contract as
-  /// push(): blocks while a target ring stays full.  Batches may be mixed
-  /// freely with scalar push() calls.
+  /// Ingestion, in stream order: routes a whole batch, bit-identical in
+  /// output to pushing it in any other split.  The batch is key-partitioned
+  /// into per-shard staging buffers (one hash per event, no ring touch) and
+  /// each staging buffer is flushed with ONE bulk ring enqueue per block --
+  /// one acquire/release cursor pair instead of one per event.  A
+  /// single-partition engine, and a batch of one event, skip staging and
+  /// enqueue straight from the caller's span.  Blocks while a target ring
+  /// stays full -- backpressure instead of unbounded queues.  Refuses,
+  /// with ConfigError and before anything is logged or routed, a batch
+  /// holding a partition-control record (kPartitionControlType, the
+  /// engine's own migration marker) or, without event_time, a watermark
+  /// (kWatermarkType).
   void push_batch(std::span<const Event> events);
 
   // --- multi-producer ingestion (config_.producers > 0) --------------------
@@ -613,8 +621,8 @@ class StreamEngine {
   /// after which the engine is bit-identical to an uninterrupted run over
   /// the durable prefix and accepts further push()/checkpoint()/finish()
   /// calls.  Must be called instead of start()/first-push on a freshly
-  /// constructed engine with the same config and add_query() registrations
-  /// as the crashed run.
+  /// constructed engine with the same config as the crashed run, queries
+  /// included (whether set in config.queries or through add_query()).
   RecoveryReport recover_and_start();
 
   /// Events ingested so far (== the durable log offset outside replay).
@@ -645,7 +653,7 @@ class StreamEngine {
   static std::vector<ComplexEvent> merge_matches(
       std::vector<std::vector<ComplexEvent>> per_shard);
 
-  std::size_t query_count() const { return queries_.size(); }
+  std::size_t query_count() const { return config_.queries.size(); }
 
  private:
   struct Shard;
@@ -697,9 +705,8 @@ class StreamEngine {
   void open_durability();
   /// Runs checkpoint() when snapshot_every_events is due.
   void maybe_auto_checkpoint();
-  /// Partitions and flushes one punctuation-free run of data events (the
-  /// shared body of push_batch); advances pushed_ and the event-time
-  /// router trackers.
+  /// Partitions and flushes one punctuation-free run of data events;
+  /// advances pushed_ and the event-time router trackers.
   void push_data_segment(std::span<const Event> events);
   /// Broadcasts a punctuation to every shard (arrival order preserved
   /// relative to surrounding data); advances pushed_ / punct_pushed_.
@@ -715,25 +722,22 @@ class StreamEngine {
   /// Records shard `s`'s death, moves the engine to kFailed, and throws
   /// Error{kShardFailed} carrying the shard's own error message.
   [[noreturn]] void fail_for_shard(Shard& s);
-  /// WAL append with the configured WalErrorPolicy applied: retries
-  /// (distinguishing record-written-fsync-failed from record-never-landed
-  /// via next_index()), degrades to memory-only, or fail-stops typed.
+  /// WAL append; a failure takes on_wal_fault().
   void wal_append(std::span<const Event> events);
-  /// checkpoint()'s pre-snapshot log sync under the same policy; throws
-  /// when the checkpoint cannot be made durable.
-  void wal_sync_for_checkpoint();
-  /// Bounded exponential-backoff retry loop of kRetryBackoff; true once
-  /// `op` succeeded, false when exhausted (detail = last error).
-  bool wal_retry(const std::function<void()>& op, std::string& detail);
-  /// Seals the durable prefix and switches to memory-only ingestion.
-  void degrade_wal(const std::string& detail);
+  /// The one WalErrorPolicy ladder, entered after WAL operation `op`
+  /// failed with `detail`: kRetryBackoff re-runs `retry` with bounded
+  /// exponential backoff and returns true once it succeeds;
+  /// kDegradeToMemory seals the durable prefix, switches to memory-only
+  /// ingestion and returns false; kFailStop, and exhausted retries, move
+  /// the engine to kFailed and throw Error{kIo}.
+  bool on_wal_fault(const char* op, std::string detail,
+                    const std::function<void()>& retry);
   /// abort()/destructor body: release checkpoint cuts, close rings, join.
   void teardown() noexcept;
 
+  /// The query list is final at start(); in adaptive mode start() adds
+  /// the one query built from `adaptive`.
   StreamEngineConfig config_;
-  /// Registered queries (adopted from the legacy config at start() when
-  /// add_query() was never called).
-  std::vector<EngineQuery> queries_;
   /// Adaptive mode: per partition, the controller behind its shedders,
   /// driven by the hosting shard's thread only.  Declared before the
   /// shards so it outlives their pipelines.

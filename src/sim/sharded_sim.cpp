@@ -49,19 +49,6 @@ std::vector<ComplexEvent> one_query_golden(
 
 }  // namespace
 
-std::vector<ComplexEvent> partitioned_serial_golden(
-    const StreamEngineConfig& config, std::span<const Event> events) {
-  ESPICE_REQUIRE(!config.adaptive.has_value(),
-                 "the serial golden is defined for deterministic mode");
-  config.validate();
-  EngineQuery q;
-  q.query = config.query;
-  q.shedder_factory = config.shedder_factory;
-  q.predicted_ws = config.predicted_ws;
-  return one_query_golden(
-      q, partition_substreams(config.shards, config.key_of, events));
-}
-
 std::vector<std::vector<ComplexEvent>> per_query_serial_goldens(
     std::size_t shards,
     const std::function<std::uint64_t(const Event&)>& key_of,

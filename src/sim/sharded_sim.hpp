@@ -30,8 +30,7 @@ struct ShardedSimConfig {
   double replay_speed = 0.0;
   /// >= 1: replay through StreamEngine::push_batch() in batches of this
   /// many events (unpaced mode only; output is bit-identical to per-event
-  /// replay; 1 measures the one-event-span API edge).  0 = scalar push()
-  /// per event.
+  /// replay).  0 = push() per event (a batch of one), paced or not.
   std::size_t batch_size = 0;
 };
 
@@ -43,17 +42,7 @@ struct ShardedSimResult {
   double offered_rate = 0.0;
 };
 
-/// The serial golden a deterministic engine built from `config` must
-/// reproduce bit-for-bit on `events`: hash-partition the stream into
-/// substreams with the engine's own partitioner, run the serial
-/// run_pipeline() per substream (with the config's shedder, if any), and
-/// canonically merge the per-shard match lists.  The oracle tests, the
-/// throughput bench and the examples all assert parity against this one
-/// definition.
-std::vector<ComplexEvent> partitioned_serial_golden(
-    const StreamEngineConfig& config, std::span<const Event> events);
-
-/// Per-query serial goldens for a multi-query deterministic engine run:
+/// The serial goldens a deterministic engine must reproduce bit for bit:
 /// for EACH query independently -- as if it ran alone -- hash-partition the
 /// stream into `shards` substreams with the engine's own partitioner
 /// (`key_of` nullptr = event type), run the serial single-query
@@ -61,7 +50,11 @@ std::vector<ComplexEvent> partitioned_serial_golden(
 /// canonically merge the per-shard match lists.  Element qi of the result
 /// must equal EngineReport::queries[qi].matches bit for bit (the
 /// shared-window equivalence guarantee;
-/// tests/runtime/multi_query_oracle_test.cpp holds the engine to it).
+/// tests/runtime/multi_query_oracle_test.cpp holds the engine to it).  For
+/// an engine built from `config`, that is
+/// per_query_serial_goldens(config.shards, config.key_of, config.queries,
+/// events) -- one definition the oracle tests, the benches and the
+/// examples all assert parity against.
 std::vector<std::vector<ComplexEvent>> per_query_serial_goldens(
     std::size_t shards,
     const std::function<std::uint64_t(const Event&)>& key_of,

@@ -188,13 +188,14 @@ StreamEngineConfig make_config(LatePolicy policy, std::size_t horizon = 8) {
   StreamEngineConfig config;
   config.shards = 1;
   config.ring_capacity = 256;
-  config.query.pattern =
+  ShardQuery& q = config.queries.emplace_back().query;
+  q.pattern =
       make_sequence({element("up", TypeSet{}, DirectionFilter::kRising),
                      element("down", TypeSet{}, DirectionFilter::kFalling)});
-  config.query.window.span_kind = WindowSpan::kCount;
-  config.query.window.span_events = 10;
-  config.query.window.open_kind = WindowOpen::kCountSlide;
-  config.query.window.slide_events = 5;
+  q.window.span_kind = WindowSpan::kCount;
+  q.window.span_events = 10;
+  q.window.open_kind = WindowOpen::kCountSlide;
+  q.window.slide_events = 5;
   EventTimeConfig et;
   et.disorder_bound = 4;
   et.late_policy = policy;

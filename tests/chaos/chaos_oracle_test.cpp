@@ -114,9 +114,10 @@ StreamEngineConfig make_config(const Scenario& s, const std::string& dir) {
       make_sequence({element("up", TypeSet{}, DirectionFilter::kRising),
                      element("down", TypeSet{}, DirectionFilter::kFalling)});
   q.window = spec;
-  config.query = q;
-  config.predicted_ws = kPredictedWs;
-  config.shedder_factory = [](std::size_t) {
+  EngineQuery& eq = config.queries.emplace_back();
+  eq.query = q;
+  eq.predicted_ws = kPredictedWs;
+  eq.shedder_factory = [](std::size_t) {
     return std::make_unique<HashShedder>(3);
   };
   if (!dir.empty()) {
@@ -554,6 +555,64 @@ TEST_F(ChaosDirectedTest, FailStopIsTypedAndTerminal) {
       /*checkpoints=*/false);
   ASSERT_EQ(tail.outcome, Outcome::kCompleted) << tail.error;
   expect_same_output(tail.report, gold);
+}
+
+// finish()'s end-of-stream sync takes the same on_wal_error ladder as the
+// append and checkpoint paths.  With FsyncPolicy::kNone, no checkpoint and
+// no segment roll, log.fsync #1 is exactly that sync: fail-stop fails the
+// finish typed, degrade completes flagged, retry rides out a transient
+// fault and fail-stops on a sticky one once its retries run out.
+TEST_F(ChaosDirectedTest, EndOfStreamSyncFaultFollowsPolicy) {
+  SCOPED_TRACE(test_support::seed_trace(seed));
+  const EngineReport gold = golden(4);
+  struct Case {
+    WalErrorPolicy policy;
+    bool sticky;
+    bool completes;
+  };
+  for (const Case c : {Case{WalErrorPolicy::kFailStop, false, false},
+                       Case{WalErrorPolicy::kDegradeToMemory, false, true},
+                       Case{WalErrorPolicy::kRetryBackoff, false, true},
+                       Case{WalErrorPolicy::kRetryBackoff, true, false}}) {
+    SCOPED_TRACE(std::string("policy=") + wal_error_policy_name(c.policy) +
+                 (c.sticky ? " sticky" : ""));
+    Scenario s;
+    s.policy = c.policy;
+    TempDir dir("finish-sync");
+    StreamEngineConfig config = make_config(s, dir.str());
+    config.durability->segment_bytes = 1u << 20;  // no mid-run segment rolls
+    IoFaultHarness harness;
+    harness.arm({"log.fsync", 1, EIO, false, c.sticky, 0});
+    StreamEngine engine(config);
+    for (std::size_t i = 0; i < events.size(); i += kBatch) {
+      engine.push_batch(std::span(events).subspan(
+          i, std::min(kBatch, events.size() - i)));
+    }
+    EXPECT_EQ(harness.fired(), 0u) << "kNone must not sync before finish()";
+    EngineReport report;
+    if (c.completes) {
+      report = engine.finish();
+    } else {
+      try {
+        engine.finish();
+        FAIL() << "finish() must fail-stop on the end-of-stream sync";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kIo);
+      }
+      EXPECT_EQ(engine.state(), EngineState::kFailed);
+      engine.abort();
+    }
+    // Sticky: the first hit plus every one of the wal_retry_max retries.
+    EXPECT_EQ(harness.fired(),
+              c.sticky ? 1 + config.durability->wal_retry_max : 1u);
+    if (!c.completes) continue;
+    expect_same_output(report, gold);
+    EXPECT_GE(report.health.wal_errors, 1u);
+    const bool degrade = c.policy == WalErrorPolicy::kDegradeToMemory;
+    EXPECT_EQ(report.health.wal_degraded, degrade);
+    EXPECT_EQ(report.health.state,
+              degrade ? EngineState::kDegraded : EngineState::kRunning);
+  }
 }
 
 // The seam itself is invisible: with a fault env installed but nothing

@@ -276,6 +276,51 @@ TEST(EspiceShedder, ScoreBlockMatchesScalarSweep) {
   }
 }
 
+// An event whose type lies outside the model's universe has no UT row (the
+// engine's router cannot know the universe): it is kept, counted as keep
+// decisions, and neither scored nor drawn from the RNG.  exact_amount off
+// is the SIMD-eligible configuration (ws == N); on, the scalar path with
+// Bernoulli boundary draws.
+TEST(EspiceShedder, UnknownTypeIsKeptWithoutScoring) {
+  for (const bool exact : {false, true}) {
+    SCOPED_TRACE("exact_amount=" + std::to_string(exact));
+    EspiceShedder s(ramp_model(), exact, /*seed=*/5);
+    EspiceShedder twin(ramp_model(), exact, /*seed=*/5);
+    // x = 3.5: threshold 30, position 3 dropped with probability 1/2 when
+    // exact_amount is on.
+    s.on_command(active_command(3.5));
+    twin.on_command(active_command(3.5));
+    const Event unknown = make_event(1);
+    ASSERT_FALSE(s.drops_everywhere(unknown));
+
+    std::uint32_t positions[70];
+    for (std::uint32_t p = 0; p < 70; ++p) positions[p] = p % 10;
+    std::uint64_t bits[2] = {0, 0};
+    s.score_block(unknown, positions, 70, 10.0, bits);
+    for (std::uint32_t p = 0; p < 70; ++p) {
+      EXPECT_TRUE((bits[p / 64] >> (p % 64)) & 1) << "membership " << p;
+    }
+    EXPECT_EQ(s.decisions(), 70u);
+    EXPECT_EQ(s.drops(), 0u);
+    for (std::uint32_t p = 0; p < 10; ++p) {
+      EXPECT_FALSE(s.should_drop(unknown, p, 10.0)) << "position " << p;
+    }
+    EXPECT_EQ(s.decisions(), 80u);
+    EXPECT_EQ(s.drops(), 0u);
+
+    // No RNG state consumed: known-type decisions continue exactly as on
+    // a twin that never saw the unknown type.
+    for (int round = 0; round < 8; ++round) {
+      for (std::uint32_t p = 0; p < 10; ++p) {
+        EXPECT_EQ(s.should_drop(make_event(0), p, 10.0),
+                  twin.should_drop(make_event(0), p, 10.0))
+            << "round " << round << " position " << p;
+      }
+    }
+    EXPECT_GT(twin.drops(), 0u);
+  }
+}
+
 // Inactive shedders keep everything through the block API, and count the
 // decisions just like the scalar path does.
 TEST(EspiceShedder, ScoreBlockInactiveKeepsAllAndCounts) {

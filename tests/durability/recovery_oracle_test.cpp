@@ -133,7 +133,7 @@ ShardQuery make_query(const WindowSpec& spec) {
 struct Scenario {
   WindowSpec spec;
   std::size_t shards = 4;
-  /// Per-query hash-shedder mods; one entry = legacy single-query config,
+  /// Per-query hash-shedder mods; one entry = one query in config.queries,
   /// more = multi-query registration over the shared window spec.
   std::vector<unsigned> drop_mods = {3};
   std::uint64_t snapshot_every_events = 0;  // 0 = explicit checkpoints only
@@ -145,13 +145,15 @@ StreamEngineConfig make_config(const Scenario& s, const std::string& dir) {
   StreamEngineConfig config;
   config.shards = s.shards;
   config.ring_capacity = 256;
-  config.query = make_query(s.spec);
-  config.predicted_ws = kPredictedWs;
-  if (s.drop_mods.size() == 1 && s.drop_mods[0] != 0) {
-    const unsigned mod = s.drop_mods[0];
-    config.shedder_factory = [mod](std::size_t) {
-      return std::make_unique<HashShedder>(mod, 0);
-    };
+  if (s.drop_mods.size() == 1) {
+    EngineQuery& q = config.queries.emplace_back();
+    q.query = make_query(s.spec);
+    q.predicted_ws = kPredictedWs;
+    if (const unsigned mod = s.drop_mods[0]; mod != 0) {
+      q.shedder_factory = [mod](std::size_t) {
+        return std::make_unique<HashShedder>(mod, 0);
+      };
+    }
   }
   if (s.et.has_value()) config.event_time = s.et;
   if (!dir.empty()) {
@@ -694,6 +696,47 @@ TEST(RecoveryOracle, EventTimeHeartbeatRecovery) {
         crash_and_recover(s, events, point, occurrence);
     expect_same_reports(recovered, golden);
   }
+}
+
+// A refused record never reaches the WAL: a durable engine without event
+// time refuses a watermark (alone and mid-batch) and is then abandoned.
+// The durable prefix holds exactly the accepted events, so recovery
+// resumes at their count and reproduces the uninterrupted run, with no
+// refused record replayed as data.
+TEST(RecoveryOracle, RefusedWatermarkNeverReachesTheLog) {
+  const std::uint64_t seed = test_support::test_seed(79);
+  SCOPED_TRACE(test_support::seed_trace(seed));
+  Scenario s;
+  s.spec = make_spec(WindowSpan::kCount, WindowOpen::kCountSlide);
+  const auto events = random_stream(seed, 640);
+  const std::span<const Event> all(events);
+  const std::size_t half = events.size() / 2;
+
+  auto golden_engine = build_engine(s, "");
+  drive(*golden_engine, events, /*checkpoints=*/false);
+  const EngineReport golden = golden_engine->finish();
+
+  TempDir dir("refused");
+  {
+    auto engine = build_engine(s, dir.str());
+    drive(*engine, all.first(half), /*checkpoints=*/true);
+    const Event wm = make_watermark(events[half - 1].seq);
+    EXPECT_THROW(engine->push(wm), ConfigError);
+    std::vector<Event> batch(all.begin() + half, all.begin() + half + 8);
+    batch.insert(batch.begin() + 4, wm);
+    EXPECT_THROW(engine->push_batch(batch), ConfigError);
+    EXPECT_EQ(engine->pushed(), half);
+    drive(*engine, all.subspan(half), /*checkpoints=*/false);
+    EXPECT_EQ(engine->pushed(), events.size());
+  }  // abandoned: no finish()
+
+  auto engine = build_engine(s, dir.str());
+  const RecoveryReport rep = engine->recover_and_start();
+  EXPECT_EQ(rep.durable_events, events.size());
+  EXPECT_EQ(engine->data_pushed(), events.size());
+  drive(*engine, all.subspan(std::min(engine->data_pushed(), events.size())),
+        /*checkpoints=*/false);
+  expect_same_reports(engine->finish(), golden);
 }
 
 // Guard rails around the feature's contract.

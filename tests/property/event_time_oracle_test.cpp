@@ -142,13 +142,15 @@ std::unique_ptr<StreamEngine> build_engine(const Scenario& s, bool event_time) {
   StreamEngineConfig config;
   config.shards = s.shards;
   config.ring_capacity = 256;
-  config.query = make_query(s.spec);
-  config.predicted_ws = kPredictedWs;
-  if (s.drop_mods.size() == 1 && s.drop_mods[0] != 0) {
-    const unsigned mod = s.drop_mods[0];
-    config.shedder_factory = [mod](std::size_t) {
-      return std::make_unique<HashShedder>(mod, 0);
-    };
+  if (s.drop_mods.size() == 1) {
+    EngineQuery& q = config.queries.emplace_back();
+    q.query = make_query(s.spec);
+    q.predicted_ws = kPredictedWs;
+    if (const unsigned mod = s.drop_mods[0]; mod != 0) {
+      q.shedder_factory = [mod](std::size_t) {
+        return std::make_unique<HashShedder>(mod, 0);
+      };
+    }
   }
   if (event_time) {
     EventTimeConfig et;

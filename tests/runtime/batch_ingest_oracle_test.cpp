@@ -141,18 +141,19 @@ StreamEngineConfig make_config(const WindowSpec& spec, std::size_t shards,
   StreamEngineConfig config;
   config.shards = shards;
   config.ring_capacity = 256;
-  config.query = make_query(spec);
-  config.predicted_ws = 24.0;
+  EngineQuery& q = config.queries.emplace_back();
+  q.query = make_query(spec);
+  q.predicted_ws = 24.0;
   if (shed == ShedKind::kHash) {
-    config.shedder_factory = [](std::size_t) {
+    q.shedder_factory = [](std::size_t) {
       return std::make_unique<HashShedder>(3);
     };
   } else if (shed == ShedKind::kEspice) {
-    config.shedder_factory = [](std::size_t shard) {
+    q.shedder_factory = [](std::size_t shard) {
       return make_armed_espice(0xe5e + shard);
     };
   } else if (shed == ShedKind::kEspiceDeadRows) {
-    config.shedder_factory = [](std::size_t shard) {
+    q.shedder_factory = [](std::size_t shard) {
       return make_armed_espice(0xe5e + shard, /*dead_rows=*/true);
     };
   }
@@ -254,7 +255,8 @@ TEST_P(BatchIngestOracle, BatchedEqualsPerEventAndSerialGolden) {
 
   // Anchor both against the scalar serial pipeline (run_pipeline golden):
   // agreement between the two engine modes must not be a shared bug.
-  const auto golden = partitioned_serial_golden(config, events);
+  const auto golden = per_query_serial_goldens(config.shards, config.key_of,
+                                               config.queries, events)[0];
   expect_same_matches(batched.matches, golden, "vs serial golden");
   if (shed == ShedKind::kNone) {
     EXPECT_GT(golden.size(), 0u) << "degenerate stream: no matches";
@@ -301,7 +303,9 @@ TEST(BatchIngestOracle, MultiShardStagingKeepsPartitionOrder) {
   const auto per_event = run_per_event(config, events);
   const auto batched = run_batched(config, events, 128);
   expect_same_report(batched, per_event);
-  expect_same_matches(batched.matches, partitioned_serial_golden(config, events),
+  expect_same_matches(batched.matches,
+                      per_query_serial_goldens(config.shards, config.key_of,
+                                               config.queries, events)[0],
                       "vs serial golden");
 }
 

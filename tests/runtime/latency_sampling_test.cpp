@@ -37,13 +37,14 @@ StreamEngineConfig base_config(std::size_t shards) {
   StreamEngineConfig config;
   config.shards = shards;
   config.ring_capacity = 256;
-  config.query.pattern = make_sequence(
+  ShardQuery& q = config.queries.emplace_back().query;
+  q.pattern = make_sequence(
       {element("up", TypeSet{}, DirectionFilter::kRising),
        element("down", TypeSet{}, DirectionFilter::kFalling)});
-  config.query.window.span_kind = WindowSpan::kCount;
-  config.query.window.span_events = 16;
-  config.query.window.open_kind = WindowOpen::kCountSlide;
-  config.query.window.slide_events = 4;
+  q.window.span_kind = WindowSpan::kCount;
+  q.window.span_events = 16;
+  q.window.open_kind = WindowOpen::kCountSlide;
+  q.window.slide_events = 4;
   return config;
 }
 

@@ -82,10 +82,11 @@ StreamEngineConfig make_config(std::size_t shards, bool shed) {
   q.window.span_events = 24;
   q.window.open_kind = WindowOpen::kCountSlide;
   q.window.slide_events = 5;
-  config.query = q;
-  config.predicted_ws = 24.0;
+  EngineQuery& eq = config.queries.emplace_back();
+  eq.query = q;
+  eq.predicted_ws = 24.0;
   if (shed) {
-    config.shedder_factory = [](std::size_t) {
+    eq.shedder_factory = [](std::size_t) {
       return std::make_unique<HashShedder>(3);
     };
   }
@@ -193,7 +194,9 @@ TEST_P(MpIngestOracle, MultiProducerEqualsSingleProducerAndGolden) {
   const auto sp = run_single_producer(config, events);
   const auto mp = run_multi_producer(config, events, producers, batch);
   expect_same_report(mp, sp);
-  expect_same_matches(mp.matches, partitioned_serial_golden(config, events),
+  expect_same_matches(mp.matches,
+                      per_query_serial_goldens(config.shards, config.key_of,
+                                               config.queries, events)[0],
                       "vs serial golden");
 }
 

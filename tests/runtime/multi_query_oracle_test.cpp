@@ -324,9 +324,9 @@ TEST(MultiQueryOracle, SharedGroupDistinctShedders) {
   }
 }
 
-// Legacy single-query configs must keep their exact pre-multi-query
-// behavior: report.matches == report.queries[0].matches == the partitioned
-// serial golden.
+// A one-query config must keep its exact pre-multi-query behavior:
+// report.matches == report.queries[0].matches == the partitioned serial
+// golden.
 TEST(MultiQueryOracle, LegacySingleQueryConfigUnchanged) {
   const std::uint64_t seed = test_support::test_seed(7);
   SCOPED_TRACE(test_support::seed_trace(seed));
@@ -335,13 +335,15 @@ TEST(MultiQueryOracle, LegacySingleQueryConfigUnchanged) {
   StreamEngineConfig config;
   config.shards = 2;
   config.ring_capacity = 256;
-  config.query.pattern = make_sequence(
+  EngineQuery& q = config.queries.emplace_back();
+  q.query.pattern = make_sequence(
       {element("up", TypeSet{}, DirectionFilter::kRising),
        element("down", TypeSet{}, DirectionFilter::kFalling)});
-  config.query.window = spec_from_pool(0);
-  config.predicted_ws = 24.0;
+  q.query.window = spec_from_pool(0);
+  q.predicted_ws = 24.0;
 
-  const auto golden = partitioned_serial_golden(config, events);
+  const auto golden = per_query_serial_goldens(config.shards, config.key_of,
+                                               config.queries, events)[0];
   StreamEngine engine(config);
   for (const Event& e : events) engine.push(e);
   const EngineReport report = engine.finish();

@@ -4,7 +4,7 @@
 // The golden is the engine's own no-rebalance semantics at partition
 // granularity: a config with shards = partitions and rebalance disabled
 // routes exactly like partition_of (same hash, same modulus), so
-// partitioned_serial_golden over that config is the per-partition serial
+// per_query_serial_goldens over that config is the per-partition serial
 // reference.  A rebalancing engine hosts those same partition pipelines on
 // K < L shards and migrates them mid-stream; the marker protocol ships each
 // pipeline gap-free, so every partition must still see its substream whole
@@ -81,26 +81,26 @@ StreamEngineConfig make_config(std::size_t shards, std::size_t partitions,
   StreamEngineConfig config;
   config.shards = shards;
   config.ring_capacity = 256;
-  config.query = make_query();
-  config.predicted_ws = 20.0;
+  EngineQuery& q = config.queries.emplace_back();
+  q.query = make_query();
+  q.predicted_ws = 20.0;
   config.rebalance.emplace();
   config.rebalance->partitions = partitions;
   if (shed) {
-    config.shedder_factory = [](std::size_t) {
+    q.shedder_factory = [](std::size_t) {
       return std::make_unique<HashShedder>(3);
     };
   }
   return config;
 }
 
-/// The no-rebalance reference: same config, one shard per partition,
-/// rebalancing off.  partition_of == shard_of under this shape, so the
-/// serial golden over it is the per-partition golden.
-StreamEngineConfig golden_config(const StreamEngineConfig& config) {
-  StreamEngineConfig g = config;
-  g.shards = config.rebalance->partitions;
-  g.rebalance.reset();
-  return g;
+/// The per-partition golden: the serial golden of the no-rebalance
+/// reference shape -- one shard per partition, rebalancing off, where
+/// partition_of == shard_of.
+std::vector<ComplexEvent> partition_golden(const StreamEngineConfig& config,
+                                           std::span<const Event> events) {
+  return per_query_serial_goldens(config.rebalance->partitions,
+                                  config.key_of, config.queries, events)[0];
 }
 
 void expect_same_matches(const std::vector<ComplexEvent>& actual,
@@ -146,8 +146,7 @@ TEST(RebalanceOracle, ForcedMoveMidStreamMatchesGolden) {
     StreamEngineConfig config = make_config(/*shards=*/2, /*partitions=*/8,
                                             shed);
     config.rebalance->interval_events = 1u << 30;  // manual moves only
-    const auto golden =
-        partitioned_serial_golden(golden_config(config), events);
+    const auto golden = partition_golden(config, events);
 
     StreamEngine engine(config);
     const std::span<const Event> all(events);
@@ -185,7 +184,7 @@ TEST(RebalanceOracle, AutoRebalanceOnZipfMatchesGolden) {
   StreamEngineConfig config = make_config(/*shards=*/4, /*partitions=*/16,
                                           /*shed=*/true);
   config.rebalance->interval_events = 2048;
-  const auto golden = partitioned_serial_golden(golden_config(config), events);
+  const auto golden = partition_golden(config, events);
 
   StreamEngine engine(config);
   engine.push_batch(events);
@@ -224,6 +223,35 @@ TEST(RebalanceOracle, AutoRebalanceIsDeterministic) {
         << "shard " << s;
   }
   expect_same_matches(a.matches, b.matches, "repeat run");
+}
+
+// A partition-control record is the router's own migration marker; as
+// input it would make a shard index its partition list and the mailbox
+// with an unchecked seq.  The router refuses it up front, and the engine
+// then finishes normally with the golden of the accepted events.
+TEST(RebalanceOracle, RefusesPartitionControlInput) {
+  const std::uint64_t seed = test_support::test_seed(0x2eb5);
+  SCOPED_TRACE(test_support::seed_trace(seed));
+  const auto events = random_stream(seed, 2000);
+  const std::span<const Event> all(events);
+
+  const StreamEngineConfig config = make_config(/*shards=*/2,
+                                                /*partitions=*/8,
+                                                /*shed=*/false);
+  const auto golden = partition_golden(config, events);
+
+  StreamEngine engine(config);
+  engine.push_batch(all.first(1000));
+  Event control;
+  control.type = kPartitionControlType;
+  control.seq = 1u << 20;
+  EXPECT_THROW(engine.push(control), ConfigError);
+  EXPECT_EQ(engine.pushed(), 1000u);
+  engine.push_batch(all.subspan(1000));
+  const EngineReport report = engine.finish();
+
+  EXPECT_EQ(report.events, events.size());
+  expect_same_matches(report.matches, golden, "after the refusal");
 }
 
 // Multi-query engines rebalance whole partition pipelines (all queries

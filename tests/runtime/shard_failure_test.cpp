@@ -67,9 +67,10 @@ StreamEngineConfig make_config(std::size_t shards, bool event_time = false,
       make_sequence({element("up", TypeSet{}, DirectionFilter::kRising),
                      element("down", TypeSet{}, DirectionFilter::kFalling)});
   q.window = spec;
-  config.query = q;
-  config.predicted_ws = 24.0;
-  config.shedder_factory = [](std::size_t) {
+  EngineQuery& eq = config.queries.emplace_back();
+  eq.query = q;
+  eq.predicted_ws = 24.0;
+  eq.shedder_factory = [](std::size_t) {
     return std::make_unique<ExplodingShedder>();
   };
   if (event_time) {
@@ -271,7 +272,7 @@ TEST(ShardFailure, PostFailureOperationsAreTypedAndAbortIdempotent) {
 // whole stream.
 TEST(ShardFailure, HealthySummaryOnCleanRun) {
   StreamEngineConfig config = make_config(2);
-  config.shedder_factory = nullptr;  // nothing explodes
+  config.queries[0].shedder_factory = nullptr;  // nothing explodes
   StreamEngine engine(config);
   constexpr std::uint64_t kN = 500;
   for (std::uint64_t s = 0; s < kN; ++s) engine.push(data_event(s));

@@ -105,17 +105,18 @@ ShardQuery make_query(const WindowSpec& spec) {
 constexpr double kPredictedWs = 24.0;
 
 /// One config drives both sides of the comparison: the engine run and the
-/// library's partitioned_serial_golden().
+/// library's per_query_serial_goldens().
 StreamEngineConfig make_config(const WindowSpec& spec, std::size_t shards,
                                unsigned drop_mod,
                                std::size_t ring_capacity = 256) {
   StreamEngineConfig config;
   config.shards = shards;
   config.ring_capacity = ring_capacity;
-  config.query = make_query(spec);
-  config.predicted_ws = kPredictedWs;
+  EngineQuery& q = config.queries.emplace_back();
+  q.query = make_query(spec);
+  q.predicted_ws = kPredictedWs;
   if (drop_mod != 0) {
-    config.shedder_factory = [drop_mod](std::size_t) {
+    q.shedder_factory = [drop_mod](std::size_t) {
       return std::make_unique<HashShedder>(drop_mod);
     };
   }
@@ -125,7 +126,9 @@ StreamEngineConfig make_config(const WindowSpec& spec, std::size_t shards,
 std::vector<ComplexEvent> serial_golden(const std::vector<Event>& events,
                                         const WindowSpec& spec,
                                         std::size_t shards, unsigned drop_mod) {
-  return partitioned_serial_golden(make_config(spec, shards, drop_mod), events);
+  const StreamEngineConfig config = make_config(spec, shards, drop_mod);
+  return per_query_serial_goldens(config.shards, config.key_of,
+                                  config.queries, events)[0];
 }
 
 EngineReport engine_run(const std::vector<Event>& events,
@@ -296,11 +299,12 @@ TEST(StreamEngineOracle, AdaptiveShardsRunFullLifecycle) {
   StreamEngineConfig det;
   det.shards = config.shards;
   det.key_of = config.key_of;
-  det.query.pattern = op.pattern;
-  det.query.window = op.window;
-  det.query.selection = op.selection;
-  det.query.consumption = op.consumption;
-  det.query.max_matches_per_window = op.max_matches_per_window;
+  ShardQuery& dq = det.queries.emplace_back().query;
+  dq.pattern = op.pattern;
+  dq.window = op.window;
+  dq.selection = op.selection;
+  dq.consumption = op.consumption;
+  dq.max_matches_per_window = op.max_matches_per_window;
   StreamEngine det_engine(det);
   for (const Event& e : events) det_engine.push(e);
   expect_same_matches(report.matches, det_engine.finish().matches);
@@ -358,30 +362,76 @@ TEST(StreamEngineOracle, AdaptiveShardsUnderBacklog) {
 }
 
 // Adaptive mode builds its query and shedders from `adaptive` alone; a
-// config that also sets the deterministic query fields would have them
-// silently ignored, so it is rejected.
+// config that also lists deterministic queries would have them silently
+// ignored, so it is rejected.
 TEST(StreamEngineOracle, AdaptiveRejectsIgnoredQueryFields) {
-  StreamEngineConfig base;
-  base.adaptive.emplace();
-  base.adaptive->pattern =
+  StreamEngineConfig with_query;
+  with_query.adaptive.emplace();
+  with_query.adaptive->pattern =
       make_sequence({element("A", TypeSet{0}), element("B", TypeSet{1})});
-  base.adaptive->window =
+  with_query.adaptive->window =
       make_spec(WindowSpan::kCount, WindowOpen::kCountSlide);
-  base.adaptive->num_types = kNumTypes;
-
-  StreamEngineConfig with_factory = base;
-  with_factory.shedder_factory = [](std::size_t) {
-    return std::make_unique<HashShedder>(3);
-  };
-  EXPECT_THROW(StreamEngine{with_factory}, ConfigError);
-
-  StreamEngineConfig with_ws = base;
-  with_ws.predicted_ws = kPredictedWs;
-  EXPECT_THROW(StreamEngine{with_ws}, ConfigError);
-
-  StreamEngineConfig with_query = base;
-  with_query.query = make_query(base.adaptive->window);
+  with_query.adaptive->num_types = kNumTypes;
+  with_query.queries.emplace_back().query =
+      make_query(with_query.adaptive->window);
   EXPECT_THROW(StreamEngine{with_query}, ConfigError);
+}
+
+// The reserved control types are the engine's own in-band records.  A
+// watermark without event time, or any partition-control record, is
+// refused with ConfigError before it is logged or routed -- by push(), by
+// push_batch() with the record mid-batch, and by push_batch_concurrent() --
+// and the refused call leaves no trace: pushed() is unchanged, no event of
+// the refused batch reaches a shard, and the run still finishes with the
+// golden of the accepted events.
+TEST(StreamEngineOracle, RefusesReservedTypesAtTheFrontDoor) {
+  const std::uint64_t seed = test_support::test_seed(31);
+  SCOPED_TRACE(test_support::seed_trace(seed));
+  const auto events = random_stream(seed, 1200);
+  const std::span<const Event> all(events);
+  const std::size_t half = events.size() / 2;
+  const WindowSpec spec = make_spec(WindowSpan::kCount, WindowOpen::kCountSlide);
+  const auto golden = serial_golden(events, spec, 2, /*drop_mod=*/3);
+
+  for (const Event& reserved :
+       {make_watermark(events[half].seq),
+        make_partition_control(PartitionControl::kExport, 0)}) {
+    for (const std::size_t producers : {std::size_t{0}, std::size_t{1}}) {
+      SCOPED_TRACE("type=" + std::to_string(reserved.type) +
+                   " producers=" + std::to_string(producers));
+      StreamEngineConfig config = make_config(spec, 2, /*drop_mod=*/3);
+      config.producers = producers;
+      StreamEngine engine(config);
+      engine.start();
+      auto push = [&](std::span<const Event> batch) {
+        if (producers == 0) {
+          engine.push_batch(batch);
+        } else {
+          engine.push_batch_concurrent(0, batch);
+        }
+      };
+      push(all.first(half));
+      if (producers == 0) {
+        EXPECT_THROW(engine.push(reserved), ConfigError);
+        EXPECT_EQ(engine.pushed(), half);
+      }
+      // Eight accepted events with the reserved record in their middle.
+      std::vector<Event> batch(all.begin() + half, all.begin() + half + 8);
+      batch.insert(batch.begin() + 4, reserved);
+      EXPECT_THROW(push(batch), ConfigError);
+      EXPECT_EQ(engine.pushed(), half);
+      push(all.subspan(half));
+      for (std::size_t p = 0; p < producers; ++p) engine.producer_done(p);
+      const EngineReport report = engine.finish();
+
+      EXPECT_EQ(report.events, events.size());
+      std::uint64_t shard_events = 0;
+      for (const auto& s : report.shards) shard_events += s.events;
+      EXPECT_EQ(shard_events, events.size())
+          << "an event of the refused batch reached a shard";
+      expect_same_matches(report.matches, golden);
+    }
+  }
 }
 
 // Stats cross-check: per-shard memberships minus kept equals the shedder's
