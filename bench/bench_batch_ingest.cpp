@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,18 +96,24 @@ struct RunResult {
 /// One measured replay; batch == 0 means the scalar per-event path.
 RunResult run_at(const std::vector<Event>& events, std::size_t batch,
                  const std::vector<std::uint64_t>& golden_sig, int repeats) {
-  ShardedSimConfig config;
-  config.engine = make_config();
-  config.batch_size = batch;
+  const std::span<const Event> stream(events);
   RunResult best;
   for (int r = 0; r < repeats; ++r) {
-    ShardedSimulator sim(config);
-    const auto result = sim.run(events, /*rate=*/1e6);
-    const bool parity = signature(result.report.matches) == golden_sig;
-    if (r == 0 || result.report.events_per_sec > best.events_per_sec) {
-      best.events_per_sec = result.report.events_per_sec;
-      best.wall_seconds = result.report.wall_seconds;
-      best.matches = result.report.matches.size();
+    StreamEngine engine(make_config());
+    if (batch == 0) {
+      for (const Event& e : stream) engine.push(e);
+    } else {
+      for (std::size_t i = 0; i < stream.size(); i += batch) {
+        engine.push_batch(
+            stream.subspan(i, std::min(batch, stream.size() - i)));
+      }
+    }
+    const EngineReport report = engine.finish();
+    const bool parity = signature(report.matches) == golden_sig;
+    if (r == 0 || report.events_per_sec > best.events_per_sec) {
+      best.events_per_sec = report.events_per_sec;
+      best.wall_seconds = report.wall_seconds;
+      best.matches = report.matches.size();
     }
     best.parity = (r == 0) ? parity : (best.parity && parity);
   }

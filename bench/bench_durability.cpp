@@ -21,7 +21,8 @@
 // separate cores; on fewer than 2 hardware threads the JSON records
 // "skipped_insufficient_cores" instead of a boolean.  kInterval/kEveryBatch
 // rows are recorded but not gated: their cost is the disk's, not the
-// engine's.
+// engine's.  Every row is timed in each of `repeats` rounds, the rows
+// round-robin within a round, and keeps its fastest round.
 //
 // Writes BENCH_durability.json.  --smoke / ESPICE_BENCH_SMOKE=1 shrinks the
 // stream for CI smoke runs.
@@ -124,32 +125,26 @@ struct RunResult {
   bool parity = false;
 };
 
-/// One measured ingestion run; durability off when `dir` is empty.  Fresh
-/// log/snapshot directory per repeat (cold log each time), best-of repeats.
+/// One measured ingestion run into a fresh log/snapshot directory (a cold
+/// log each time); durability off when `tag` is empty.
 RunResult run_ingest(const std::vector<Event>& events, const std::string& tag,
                      durability::FsyncPolicy fsync,
                      std::uint64_t snapshot_every, WalErrorPolicy policy,
-                     const std::vector<std::uint64_t>& golden_sig,
-                     int repeats) {
-  RunResult best;
-  for (int r = 0; r < repeats; ++r) {
-    const std::string dir = tag.empty() ? "" : scratch_dir(tag);
-    StreamEngine engine(make_config(dir, fsync, snapshot_every, policy));
-    for (std::size_t i = 0; i < events.size(); i += kBatch) {
-      engine.push_batch(std::span(events).subspan(
-          i, std::min(kBatch, events.size() - i)));
-    }
-    const EngineReport report = engine.finish();
-    const bool parity = signature(report.matches) == golden_sig;
-    if (r == 0 || report.events_per_sec > best.events_per_sec) {
-      best.events_per_sec = report.events_per_sec;
-      best.wall_seconds = report.wall_seconds;
-      best.matches = report.matches.size();
-    }
-    best.parity = (r == 0) ? parity : (best.parity && parity);
-    if (!dir.empty()) std::filesystem::remove_all(dir);
+                     const std::vector<std::uint64_t>& golden_sig) {
+  const std::string dir = tag.empty() ? "" : scratch_dir(tag);
+  StreamEngine engine(make_config(dir, fsync, snapshot_every, policy));
+  for (std::size_t i = 0; i < events.size(); i += kBatch) {
+    engine.push_batch(std::span(events).subspan(
+        i, std::min(kBatch, events.size() - i)));
   }
-  return best;
+  const EngineReport report = engine.finish();
+  RunResult run;
+  run.events_per_sec = report.events_per_sec;
+  run.wall_seconds = report.wall_seconds;
+  run.matches = report.matches.size();
+  run.parity = signature(report.matches) == golden_sig;
+  if (!dir.empty()) std::filesystem::remove_all(dir);
+  return run;
 }
 
 struct RecoveryResult {
@@ -209,7 +204,7 @@ int main(int argc, char** argv) {
   using namespace espice;
   const bool smoke = bench_support::init_smoke(argc, argv);
   const std::size_t n_events = bench_support::scaled(1'000'000);
-  const int repeats = smoke ? 3 : 4;
+  const int repeats = smoke ? 20 : 8;
   const std::uint64_t checkpoint_every = n_events / 8;
 
   const auto events = make_stream(n_events);
@@ -257,11 +252,23 @@ int main(int argc, char** argv) {
        WalErrorPolicy::kRetryBackoff, {}},
   };
 
+  // Round-robin, so every row samples the same stretches of host noise
+  // (back-to-back repeats let memory-only and wal-none see different ones).
   bool parity_all = true;
-  for (auto& row : rows) {
-    row.r = run_ingest(events, row.dir_tag, row.fsync, row.snapshot_every,
-                       row.policy, golden_sig, repeats);
-    parity_all = parity_all && row.r.parity;
+  for (int round = 0; round < repeats; ++round) {
+    for (auto& row : rows) {
+      const RunResult run =
+          run_ingest(events, row.dir_tag, row.fsync, row.snapshot_every,
+                     row.policy, golden_sig);
+      parity_all = parity_all && run.parity;
+      const bool parity = run.parity && (round == 0 || row.r.parity);
+      if (round == 0 || run.events_per_sec > row.r.events_per_sec) {
+        row.r = run;
+      }
+      row.r.parity = parity;
+    }
+  }
+  for (const auto& row : rows) {
     std::printf("| %-16s | %-14.0f | %-9.3f | %-8zu | %-7s |\n", row.mode,
                 row.r.events_per_sec, row.r.wall_seconds, row.r.matches,
                 row.r.parity ? "ok" : "FAIL");

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     config.rate_factor = rate;
     config.shedder = ShedderKind::kEspice;
     const auto r = run_experiment(config, events, &trained);
-    series.push_back({rate, config.latency_bound, r.latency});
+    series.push_back({rate, kLatencyBound, r.latency});
   }
 
   print_section(std::cout, "latency (s) per virtual-time second");

@@ -101,32 +101,32 @@ struct RunResult {
 
 RunResult run_at(const std::vector<Event>& events, std::size_t shards,
                  int repeats) {
-  ShardedSimConfig config;
-  config.engine.shards = shards;
-  config.engine.ring_capacity = 4096;
-  config.engine.queries = {make_query()};
+  StreamEngineConfig config;
+  config.shards = shards;
+  config.ring_capacity = 4096;
+  config.queries = {make_query()};
   // Sampled end-to-end latency (enqueue -> block released): every 64th
   // enqueue per shard, cheap enough not to perturb the throughput numbers.
-  config.engine.latency_sample_every = 64;
-  const auto golden_sig = signature(
-      per_query_serial_goldens(config.engine.shards, config.engine.key_of,
-                               config.engine.queries, events)[0]);
+  config.latency_sample_every = 64;
+  const auto golden_sig = signature(per_query_serial_goldens(
+      config.shards, config.key_of, config.queries, events)[0]);
   RunResult best;
   for (int r = 0; r < repeats; ++r) {
-    ShardedSimulator sim(config);
-    // One nominal rate phase: unpaced replay (throughput mode).
-    const auto result = sim.run(events, /*rate=*/1e6);
-    const bool parity = signature(result.report.matches) == golden_sig;
+    // Per-event push() at full speed (throughput mode).
+    StreamEngine engine(config);
+    for (const Event& e : events) engine.push(e);
+    const EngineReport report = engine.finish();
+    const bool parity = signature(report.matches) == golden_sig;
     std::uint64_t waits = 0;
-    for (const auto& s : result.report.shards) {
+    for (const auto& s : report.shards) {
       waits += s.router_backpressure_waits;
     }
-    if (r == 0 || result.report.events_per_sec > best.events_per_sec) {
-      best.events_per_sec = result.report.events_per_sec;
-      best.wall_seconds = result.report.wall_seconds;
-      best.matches = result.report.matches.size();
+    if (r == 0 || report.events_per_sec > best.events_per_sec) {
+      best.events_per_sec = report.events_per_sec;
+      best.wall_seconds = report.wall_seconds;
+      best.matches = report.matches.size();
       best.backpressure_waits = waits;
-      const LatencyHistogram& lat = result.report.latency;
+      const LatencyHistogram& lat = report.latency;
       best.latency_samples = lat.count();
       best.p50_ns = lat.quantile(0.50);
       best.p99_ns = lat.quantile(0.99);

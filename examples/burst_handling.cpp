@@ -34,21 +34,24 @@ int main() {
                                trained.avg_windows_per_event);
 
   SimConfig sim_config;
-  sim_config.window = query.window;
   sim_config.detector.latency_bound = 1.0;
   sim_config.detector.f = 0.8;
   sim_config.detector.window_size_events = trained.model->n_positions();
-  sim_config.predicted_ws = static_cast<double>(trained.model->n_positions());
 
-  EspiceShedder shedder(trained.model);
-  OperatorSimulator sim(sim_config, query.make_matcher(), shedder);
+  const EngineQuery espice_query = to_engine_query(
+      query,
+      [&](std::size_t) {
+        return std::make_unique<EspiceShedder>(trained.model);
+      },
+      static_cast<double>(trained.model->n_positions()));
 
   const auto measure = std::span<const Event>(events).subspan(train_n);
   const std::size_t third = measure.size() / 3;
-  const SimResult result = sim.run(
-      measure, {RatePhase{third, 0.9 * th},   // healthy
-                RatePhase{third, 1.8 * th},   // burst
-                RatePhase{third, 0.9 * th}}); // recovery
+  const SimResult result = simulate(
+      sim_config, espice_query, measure,
+      {RatePhase{third, 0.9 * th},   // healthy
+       RatePhase{third, 1.8 * th},   // burst
+       RatePhase{third, 0.9 * th}}); // recovery
 
   const auto latency = summarize_latency(result.latencies, 1.0);
   std::cout << "burst scenario (capacity " << static_cast<long>(th)
@@ -57,8 +60,8 @@ int main() {
             << "  shedding engaged   : "
             << (result.shedding_ever_active ? "yes (during the burst)" : "no")
             << "\n"
-            << "  pairs dropped      : " << shedder.drops() << " of "
-            << shedder.decisions() << "\n"
+            << "  pairs dropped      : " << result.drops << " of "
+            << result.decisions << "\n"
             << "  max latency        : " << fmt(latency.max, 3)
             << " s (bound 1.0 s)\n"
             << "  bound violations   : " << latency.violations << "\n\n";

@@ -77,6 +77,9 @@ TrainedModel train_model(const QueryDef& query, std::size_t num_types,
 
 namespace {
 
+/// Seed of the BL and random shedders' RNGs.
+constexpr std::uint64_t kShedderSeed = 7;
+
 std::unique_ptr<Shedder> make_shedder(const ExperimentConfig& config,
                                       const TrainedModel& trained) {
   const auto& model = *trained.model;
@@ -96,10 +99,11 @@ std::unique_ptr<Shedder> make_shedder(const ExperimentConfig& config,
       }
       return std::make_unique<BaselineShedder>(
           config.query.pattern, std::move(freq), model.n_positions(),
-          config.seed);
+          kShedderSeed);
     }
     case ShedderKind::kRandom:
-      return std::make_unique<RandomShedder>(model.n_positions(), config.seed);
+      return std::make_unique<RandomShedder>(model.n_positions(),
+                                             kShedderSeed);
   }
   ESPICE_ASSERT(false, "unknown shedder kind");
   return nullptr;
@@ -126,10 +130,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
       pretrained != nullptr
           ? *pretrained
           : train_model(config.query, config.num_types, train,
-                        config.bin_size, config.n_positions_override);
+                        config.bin_size);
+  const auto n_positions = trained.model->n_positions();
 
   ExperimentResult result;
-  result.n_positions = trained.model->n_positions();
+  result.n_positions = n_positions;
   result.avg_windows_per_event = trained.avg_windows_per_event;
 
   // --- 2. Golden pass ------------------------------------------------------
@@ -141,37 +146,31 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
                });
 
   // --- 3. Overload pass ----------------------------------------------------
-  const double th =
-      1.0 / (config.cost.base_cost +
-             config.cost.per_window_cost * trained.avg_windows_per_event);
+  SimConfig sim_config;
+  sim_config.detector.latency_bound = kLatencyBound;
+  sim_config.detector.f = config.f;
+  sim_config.detector.window_size_events = n_positions;
+  const OperatorCostModel& cost = sim_config.cost;
+  const double th = 1.0 / (cost.base_cost + cost.per_window_cost *
+                                                trained.avg_windows_per_event);
   result.throughput = th;
   result.input_rate = config.rate_factor * th;
 
-  auto shedder = make_shedder(config, trained);
-
-  SimConfig sim_config;
-  sim_config.window = config.query.window;
-  sim_config.cost = config.cost;
-  sim_config.detector.latency_bound = config.latency_bound;
-  sim_config.detector.f = config.f;
-  sim_config.detector.window_size_events = trained.model->n_positions();
-  sim_config.detector.tick_period = config.detector_tick;
-  sim_config.predicted_ws =
+  const EngineQuery query = to_engine_query(
+      config.query,
+      [&](std::size_t) { return make_shedder(config, trained); },
       config.predicted_ws_override > 0.0
           ? config.predicted_ws_override
-          : static_cast<double>(trained.model->n_positions());
-
-  OperatorSimulator sim(sim_config, matcher, *shedder);
-  SimResult sim_result = sim.run(measure, result.input_rate);
+          : static_cast<double>(n_positions));
+  const SimResult sim = simulate(sim_config, query, measure, result.input_rate);
 
   // --- 4. Quality + latency -------------------------------------------------
-  result.quality = compare_quality(golden, sim_result.matches);
-  result.latency =
-      summarize_latency(sim_result.latencies, config.latency_bound);
-  result.decisions = shedder->decisions();
-  result.drops = shedder->drops();
-  result.windows = sim_result.windows_closed;
-  result.shedding_active = sim_result.shedding_ever_active;
+  result.quality = compare_quality(golden, sim.matches);
+  result.latency = summarize_latency(sim.latencies, kLatencyBound);
+  result.decisions = sim.decisions;
+  result.drops = sim.drops;
+  result.windows = sim.windows_closed;
+  result.shedding_active = sim.shedding_ever_active;
   return result;
 }
 

@@ -4,13 +4,19 @@
 // Protocol per experiment:
 //  1. training phase: the stream prefix is replayed at a sustainable rate
 //     (offline here) to build the utility model from detected complex events,
-//  2. golden pass: the measurement segment is matched without shedding to
-//     obtain ground-truth complex events,
-//  3. overload pass: the measurement segment is pushed through the simulated
-//     operator at R = rate_factor * th (th = measured max throughput) with
-//     the chosen shedder active,
+//  2. golden pass: the measurement segment is matched without shedding by
+//     the reference pipeline (run_pipeline) to obtain ground-truth complex
+//     events,
+//  3. overload pass: the measurement segment is pushed through the engine's
+//     operator pipeline under the virtual clock (simulate(), one
+//     DetPipeline) at R = rate_factor * th (th = the cost model's
+//     sustainable throughput) with the chosen shedder active,
 //  4. quality: false negatives / positives of (3) against (2); latency is
 //     checked against the bound.
+//
+// The host is fixed: the default OperatorCostModel, the detector's default
+// tick, LB = kLatencyBound.  tests/harness/experiment_golden_test.cpp pins
+// the protocol's output bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +34,9 @@ namespace espice {
 
 enum class ShedderKind { kNone, kEspice, kBaseline, kRandom };
 
+/// The latency bound LB every experiment runs under (the paper's default).
+inline constexpr double kLatencyBound = 1.0;
+
 const char* shedder_kind_name(ShedderKind kind);
 
 struct ExperimentConfig {
@@ -36,22 +45,16 @@ struct ExperimentConfig {
   std::size_t train_events = 0;   ///< stream prefix used for model building
   std::size_t measure_events = 0; ///< segment used for golden + overload pass
   double rate_factor = 1.2;       ///< R = rate_factor * th (paper: 1.2 / 1.4)
-  double latency_bound = 1.0;     ///< LB seconds (paper default)
   double f = 0.8;                 ///< watermark factor (paper default)
   std::size_t bin_size = 1;       ///< bs
   ShedderKind shedder = ShedderKind::kEspice;
   /// eSPICE boundary handling: false (default) = the paper's literal "drop
   /// everything <= uth" (at least x); true = expected drops of exactly x.
   /// The literal rule wins on quality when the model is accurate -- see
-  /// DESIGN.md §5b and bench_ablation_exact_amount.
+  /// bench_ablation_exact_amount.
   bool exact_amount = false;
-  OperatorCostModel cost;
-  double detector_tick = 0.01;
-  /// Override for N (UT positions); 0 = derive from training windows.
-  std::size_t n_positions_override = 0;
   /// Override for the predicted window size during shedding; 0 = N.
   double predicted_ws_override = 0.0;
-  std::uint64_t seed = 7;
 };
 
 struct ExperimentResult {

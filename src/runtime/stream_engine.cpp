@@ -183,6 +183,18 @@ ShardQuery adaptive_query(const EspiceOperatorConfig& config) {
                     config.consumption, config.max_matches_per_window};
 }
 
+void EngineQuery::validate(std::size_t index) const {
+  query.pattern.validate();
+  query.window.validate();
+  if (shedder_factory != nullptr) {
+    ESPICE_REQUIRE(predicted_ws > 0.0 ||
+                       query.window.span_kind == WindowSpan::kCount,
+                   "non-count windows need an explicit predicted_ws to "
+                   "shed (query " +
+                       std::to_string(index) + ")");
+  }
+}
+
 void StreamEngineConfig::validate() const {
   validate_engine(*this);
   if (adaptive.has_value()) {
@@ -193,18 +205,7 @@ void StreamEngineConfig::validate() const {
                  "deterministic mode needs at least one query");
   ESPICE_REQUIRE(queries.size() <= kMaxQueriesPerWindowManager,
                  "too many queries for one engine");
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const EngineQuery& q = queries[i];
-    q.query.pattern.validate();
-    q.query.window.validate();
-    if (q.shedder_factory != nullptr) {
-      ESPICE_REQUIRE(q.predicted_ws > 0.0 ||
-                         q.query.window.span_kind == WindowSpan::kCount,
-                     "non-count windows need an explicit predicted_ws to "
-                     "shed (query " +
-                         std::to_string(i) + ")");
-    }
-  }
+  for (std::size_t i = 0; i < queries.size(); ++i) queries[i].validate(i);
 }
 
 /// One latency sample in flight: the router's enqueue-count high-water mark

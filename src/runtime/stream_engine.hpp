@@ -146,6 +146,11 @@ struct EngineQuery {
   /// time/predicate windows when a shedder is present, as in
   /// run_pipeline()).
   double predicted_ws = 0.0;
+
+  /// Throws ConfigError on an invalid pattern or window, or on a shedding
+  /// query over a non-count window without predicted_ws; `index` labels
+  /// the error.  StreamEngineConfig::validate() and simulate() share it.
+  void validate(std::size_t index = 0) const;
 };
 
 /// What the engine does when a write-ahead-log append or sync fails at

@@ -2,17 +2,39 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
+
+#include "runtime/shard_pipeline.hpp"
 
 namespace espice {
 
 namespace {
 
-double resolve_predicted_ws(const SimConfig& config) {
-  if (config.predicted_ws > 0.0) return config.predicted_ws;
-  if (config.window.span_kind == WindowSpan::kCount) {
-    return static_cast<double>(config.window.span_events);
+/// Arrival timestamps for `n` events under the given rate schedule (the last
+/// phase extends to the end of the stream).
+std::vector<double> arrival_schedule(std::size_t n,
+                                     const std::vector<RatePhase>& phases) {
+  ESPICE_REQUIRE(!phases.empty(), "need at least one rate phase");
+  for (const auto& p : phases) {
+    ESPICE_REQUIRE(p.rate > 0.0, "phase rates must be positive");
   }
-  return static_cast<double>(config.detector.window_size_events);
+  std::vector<double> arrival_ts(n);
+  double t = 0.0;
+  std::size_t i = 0;
+  for (std::size_t p = 0; p < phases.size() && i < n; ++p) {
+    const bool last = (p + 1 == phases.size());
+    std::size_t budget = last ? n - i : phases[p].events;
+    const double step = 1.0 / phases[p].rate;
+    while (budget-- > 0 && i < n) {
+      arrival_ts[i++] = t;
+      t += step;
+    }
+  }
+  while (i < n) {
+    arrival_ts[i++] = t;
+    t += 1.0 / phases.back().rate;
+  }
+  return arrival_ts;
 }
 
 }  // namespace
@@ -46,57 +68,32 @@ void run_pipeline(std::span<const Event> events, const WindowSpec& spec,
   flush();
 }
 
-OperatorSimulator::OperatorSimulator(SimConfig config, Matcher matcher,
-                                     Shedder& shedder)
-    : config_(std::move(config)),
-      matcher_(std::move(matcher)),
-      shedder_(shedder) {
-  config_.window.validate();
-  config_.cost.validate();
-  config_.detector.validate();
+SimResult simulate(const SimConfig& config, const EngineQuery& query,
+                   std::span<const Event> events, double input_rate) {
+  return simulate(config, query, events,
+                  std::vector<RatePhase>{{events.size(), input_rate}});
 }
 
-SimResult OperatorSimulator::run(std::span<const Event> events,
-                                 double input_rate) {
-  return run(events, std::vector<RatePhase>{{events.size(), input_rate}});
-}
-
-std::vector<double> arrival_schedule(std::size_t n,
-                                     const std::vector<RatePhase>& phases) {
-  ESPICE_REQUIRE(!phases.empty(), "need at least one rate phase");
-  for (const auto& p : phases) {
-    ESPICE_REQUIRE(p.rate > 0.0, "phase rates must be positive");
-  }
-  std::vector<double> arrival_ts(n);
-  double t = 0.0;
-  std::size_t i = 0;
-  for (std::size_t p = 0; p < phases.size() && i < n; ++p) {
-    const bool last = (p + 1 == phases.size());
-    std::size_t budget = last ? n - i : phases[p].events;
-    const double step = 1.0 / phases[p].rate;
-    while (budget-- > 0 && i < n) {
-      arrival_ts[i++] = t;
-      t += step;
-    }
-  }
-  while (i < n) {
-    arrival_ts[i++] = t;
-    t += 1.0 / phases.back().rate;
-  }
-  return arrival_ts;
-}
-
-SimResult OperatorSimulator::run(std::span<const Event> events,
-                                 const std::vector<RatePhase>& phases) {
+SimResult simulate(const SimConfig& config, const EngineQuery& query,
+                   std::span<const Event> events,
+                   const std::vector<RatePhase>& phases) {
+  query.validate();
+  config.cost.validate();
+  config.detector.validate();
   SimResult result;
   const std::vector<double> arrival_ts =
       arrival_schedule(events.size(), phases);
   if (events.empty()) return result;
 
-  WindowManager wm(config_.window);
-  OverloadDetector detector(config_.detector);
-  const double predicted_ws = resolve_predicted_ws(config_);
-  const double lb = config_.detector.latency_bound;
+  // The pipeline owns the shedder; the detector steers it through `shedder`.
+  std::vector<std::unique_ptr<Shedder>> slot(1);
+  if (query.shedder_factory) slot[0] = query.shedder_factory(0);
+  Shedder* const shedder = slot[0].get();
+  DetPipeline pipeline(std::span(&query, 1), std::move(slot), nullptr);
+  std::vector<ComplexEvent>& matches = pipeline.query_matches[0];
+  ShardStats stats;
+  OverloadDetector detector(config.detector);
+  const double lb = config.detector.latency_bound;
 
   const std::size_t n = events.size();
   result.latencies.reserve(n);
@@ -125,24 +122,21 @@ SimResult OperatorSimulator::run(std::span<const Event> events,
           arrived_before_ticks - completed_before_ticks;
       const DropCommand cmd = detector.tick(static_cast<std::size_t>(in_queue));
       if (cmd.active) result.shedding_ever_active = true;
-      shedder_.on_command(cmd);
-      next_tick += config_.detector.tick_period;
+      if (shedder != nullptr) shedder->on_command(cmd);
+      next_tick += config.detector.tick_period;
     }
   };
 
-  auto flush_windows = [&](double now) {
-    for (const WindowView& w : wm.drain_closed()) {
-      ++result.windows_closed;
-      auto matches = matcher_.match_window(w);
-      for (auto& m : matches) {
-        m.detection_ts = now;  // detection happens at operator (virtual) time
-        result.matches.push_back(std::move(m));
-      }
+  // Detection happens at operator (virtual) time: stamp the matches the
+  // last pipeline call appended.
+  std::size_t stamped = 0;
+  auto stamp_new_matches = [&](double now) {
+    for (; stamped < matches.size(); ++stamped) {
+      matches[stamped].detection_ts = now;
     }
   };
 
   for (std::size_t i = 0; i < n; ++i) {
-    const Event& e = events[i];
     const double arrival = arrival_ts[i];
     detector.observe_arrival(arrival);
 
@@ -151,22 +145,16 @@ SimResult OperatorSimulator::run(std::span<const Event> events,
     const double start = std::max(arrival, prev_finish);
     fire_ticks_until(start);
 
-    auto& memberships = wm.offer(e);
-    result.memberships += memberships.size();
-    std::size_t kept = 0;
-    for (const auto& m : memberships) {
-      if (!shedder_.should_drop(e, m.position, predicted_ws)) {
-        wm.keep(m, e);
-        ++kept;
-      }
-    }
-    result.memberships_kept += kept;
+    const std::uint64_t offered_before = stats.memberships;
+    const std::uint64_t kept_before = stats.memberships_kept;
+    pipeline.process_data_block(events.subspan(i, 1), stats);
+    const std::uint64_t offered = stats.memberships - offered_before;
+    const std::uint64_t kept = stats.memberships_kept - kept_before;
 
     // The detector learns the *unshedded* cost (used for th and qmax); the
     // virtual clock advances by the *actual* (post-shedding) cost.
-    detector.observe_processing_cost(
-        config_.cost.full_cost(memberships.size()));
-    const double finish = start + config_.cost.full_cost(kept);
+    detector.observe_processing_cost(config.cost.full_cost(offered));
+    const double finish = start + config.cost.full_cost(kept);
     prev_finish = finish;
     pending_completions.push_back(finish);
 
@@ -175,12 +163,19 @@ SimResult OperatorSimulator::run(std::span<const Event> events,
     result.max_latency = std::max(result.max_latency, latency);
     if (latency > lb) ++result.lb_violations;
 
-    flush_windows(finish);
+    stamp_new_matches(finish);
   }
-  wm.close_all();
-  flush_windows(prev_finish);
+  pipeline.close_all(stats);
+  stamp_new_matches(prev_finish);
 
+  const DetPipeline::QueryOutcome outcome = pipeline.outcome(0);
+  result.matches = std::move(matches);
   result.events = n;
+  result.memberships = stats.memberships;
+  result.memberships_kept = stats.memberships_kept;
+  result.windows_closed = stats.windows_closed;
+  result.decisions = outcome.shed_decisions;
+  result.drops = outcome.shed_drops;
   result.duration = prev_finish;
   return result;
 }

@@ -1,7 +1,8 @@
 // Virtual-time CEP operator simulation.
 //
 // Substitutes the paper's wall-clock testbed (single-thread Java operator)
-// with a deterministic discrete-event simulation:
+// with a deterministic discrete-event simulation of the engine's own
+// operator pipeline (DetPipeline, runtime/shard_pipeline.hpp):
 //   * events arrive at a configurable rate R (arrival_ts = i / R),
 //   * a serial operator dequeues FIFO and "spends" a calibrated processing
 //     cost per event: base_cost + per_window_cost * (windows the event is
@@ -12,10 +13,11 @@
 //     latency bound.
 //
 // Two entry points:
-//   * run_pipeline(): no queueing/timing -- used for model training and for
-//     golden (ground-truth) match sets,
-//   * OperatorSimulator::run(): the full simulation with queue, detector and
-//     shedder -- used for every overload experiment.
+//   * run_pipeline(): the reference pipeline (legacy window-scan Matcher,
+//     no queueing/timing) -- the serial goldens the engine oracles compare
+//     against, model training and the experiments' ground-truth pass,
+//   * simulate(): one query through one DetPipeline, an event at a time,
+//     under the virtual clock -- every overload experiment.
 //
 // Note on timestamps: an event's *source* timestamp (Event::ts) drives
 // time-based windowing; its *arrival* time (i / R) drives queueing.  The two
@@ -32,6 +34,7 @@
 #include "cep/window.hpp"
 #include "core/overload_detector.hpp"
 #include "core/shedder.hpp"
+#include "runtime/stream_engine.hpp"
 
 namespace espice {
 
@@ -67,13 +70,10 @@ void run_pipeline(std::span<const Event> events, const WindowSpec& spec,
                   const Matcher& matcher, Shedder* shedder,
                   double predicted_ws, const WindowSink& sink);
 
+/// The simulated host: its cost model and its overload detector.
 struct SimConfig {
-  WindowSpec window;
   OperatorCostModel cost;
   OverloadDetectorConfig detector;
-  /// Window size (events) the shedder assumes when scaling positions.
-  /// 0 = use window.span_events (count windows) or detector.window_size_events.
-  double predicted_ws = 0.0;
 };
 
 /// One latency sample: when the event finished and how long it took
@@ -90,6 +90,8 @@ struct SimResult {
   std::uint64_t memberships = 0;       ///< (event, window) pairs offered
   std::uint64_t memberships_kept = 0;  ///< pairs kept after shedding
   std::uint64_t windows_closed = 0;
+  std::uint64_t decisions = 0;         ///< shedder decisions made
+  std::uint64_t drops = 0;             ///< (event, window) pairs dropped
   std::uint64_t lb_violations = 0;     ///< events with latency > LB
   double max_latency = 0.0;
   double duration = 0.0;               ///< virtual time until last completion
@@ -103,29 +105,18 @@ struct RatePhase {
   double rate = 0.0;       ///< events/second
 };
 
-/// Arrival timestamps for `n` events under the given rate schedule (the last
-/// phase extends to the end of the stream).  Shared by OperatorSimulator and
-/// the sharded engine's simulator.
-std::vector<double> arrival_schedule(std::size_t n,
-                                     const std::vector<RatePhase>& phases);
+/// Replays `events` through one DetPipeline running `query` (validated as
+/// the engine validates it), with arrivals following `phases` (the last
+/// phase extends to the end of the stream if the phase counts fall short).
+/// The detector steers the shedder query.shedder_factory(0) builds; no
+/// factory runs the query unshed.  Matches carry their virtual detection
+/// time.
+SimResult simulate(const SimConfig& config, const EngineQuery& query,
+                   std::span<const Event> events,
+                   const std::vector<RatePhase>& phases);
 
-class OperatorSimulator {
- public:
-  /// `shedder` must outlive run(); pass a NullShedder for golden behaviour.
-  OperatorSimulator(SimConfig config, Matcher matcher, Shedder& shedder);
-
-  /// Replays `events` with arrivals at `input_rate` events/second.
-  SimResult run(std::span<const Event> events, double input_rate);
-
-  /// Replays `events` through the given rate phases (the last phase extends
-  /// to the end of the stream if the phase counts fall short).
-  SimResult run(std::span<const Event> events,
-                const std::vector<RatePhase>& phases);
-
- private:
-  SimConfig config_;
-  Matcher matcher_;
-  Shedder& shedder_;
-};
+/// The same with every event arriving at `input_rate` events/second.
+SimResult simulate(const SimConfig& config, const EngineQuery& query,
+                   std::span<const Event> events, double input_rate);
 
 }  // namespace espice

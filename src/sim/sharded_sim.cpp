@@ -1,8 +1,5 @@
 #include "sim/sharded_sim.hpp"
 
-#include <chrono>
-#include <thread>
-
 namespace espice {
 
 namespace {
@@ -61,61 +58,6 @@ std::vector<std::vector<ComplexEvent>> per_query_serial_goldens(
     goldens.push_back(one_query_golden(q, substreams));
   }
   return goldens;
-}
-
-ShardedSimulator::ShardedSimulator(ShardedSimConfig config)
-    : config_(std::move(config)) {
-  config_.engine.validate();
-  ESPICE_REQUIRE(config_.replay_speed >= 0.0,
-                 "replay speed must be non-negative");
-  ESPICE_REQUIRE(config_.batch_size == 0 || config_.replay_speed == 0.0,
-                 "batched replay is unpaced (throughput mode only)");
-}
-
-ShardedSimResult ShardedSimulator::run(std::span<const Event> events,
-                                       double rate) {
-  return run(events, std::vector<RatePhase>{{events.size(), rate}});
-}
-
-ShardedSimResult ShardedSimulator::run(std::span<const Event> events,
-                                       const std::vector<RatePhase>& phases) {
-  const std::vector<double> arrival_ts =
-      arrival_schedule(events.size(), phases);
-
-  ShardedSimResult result;
-  StreamEngine engine(config_.engine);
-  const auto t0 = std::chrono::steady_clock::now();
-  if (config_.batch_size > 0) {
-    // Batched throughput replay: hand the engine whole batches (validated
-    // unpaced in the constructor -- pacing is inherently per event).
-    for (std::size_t i = 0; i < events.size(); i += config_.batch_size) {
-      engine.push_batch(events.subspan(
-          i, std::min(config_.batch_size, events.size() - i)));
-    }
-  } else {
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      if (config_.replay_speed > 0.0) {
-        // Pace the router: virtual arrival t maps to wall t / speed.  Spin
-        // with yields -- sleep granularity is far coarser than event gaps.
-        const double due = arrival_ts[i] / config_.replay_speed;
-        while (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0)
-                   .count() < due) {
-          std::this_thread::yield();
-        }
-      }
-      engine.push(events[i]);
-    }
-  }
-  result.report = engine.finish();
-  if (!events.empty()) {
-    result.offered_duration = arrival_ts.back();
-    result.offered_rate = result.offered_duration > 0.0
-                              ? static_cast<double>(events.size()) /
-                                    result.offered_duration
-                              : 0.0;
-  }
-  return result;
 }
 
 }  // namespace espice

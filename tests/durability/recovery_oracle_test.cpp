@@ -32,6 +32,7 @@
 #include "common/rng.hpp"
 #include "runtime/stream_engine.hpp"
 #include "support/crash_point.hpp"
+#include "support/hash_shedder.hpp"
 #include "support/temp_dir.hpp"
 #include "support/test_seed.hpp"
 
@@ -96,29 +97,7 @@ std::vector<Event> random_stream(std::uint64_t seed, std::size_t n) {
   return events;
 }
 
-/// Deterministic, stateless shedder (pure hash of seq x position x salt):
-/// recomputes identically during log replay, so shedding state needs no
-/// persistence beyond its counters.  mod == 0 keeps everything.
-class HashShedder final : public Shedder {
- public:
-  HashShedder(unsigned mod, unsigned salt) : mod_(mod), salt_(salt) {}
-
-  bool should_drop(const Event& e, std::uint32_t position, double) override {
-    const bool drop =
-        mod_ != 0 && ((e.seq * 2654435761ULL) ^ (position * 40503ULL) ^
-                      (salt_ * 7919ULL)) %
-                             mod_ !=
-                         0;
-    count_decision(drop);
-    return drop;
-  }
-  void on_command(const DropCommand&) override {}
-  const char* name() const override { return "hash"; }
-
- private:
-  unsigned mod_;
-  unsigned salt_;
-};
+using test_support::HashShedder;
 
 ShardQuery make_query(const WindowSpec& spec) {
   ShardQuery q;

@@ -21,6 +21,7 @@
 #include "core/espice_shedder.hpp"
 #include "runtime/stream_engine.hpp"
 #include "sim/sharded_sim.hpp"
+#include "support/hash_shedder.hpp"
 #include "support/test_seed.hpp"
 
 namespace espice {
@@ -71,24 +72,7 @@ WindowSpec make_spec(WindowSpan span_kind, WindowOpen open_kind) {
   return spec;
 }
 
-/// Deterministic, stateless shedder (pure hash of seq x position).
-class HashShedder final : public Shedder {
- public:
-  explicit HashShedder(unsigned mod) : mod_(mod) {}
-
-  bool should_drop(const Event& e, std::uint32_t position, double) override {
-    const bool drop =
-        mod_ != 0 &&
-        ((e.seq * 2654435761ULL) ^ (position * 40503ULL)) % mod_ != 0;
-    count_decision(drop);
-    return drop;
-  }
-  void on_command(const DropCommand&) override {}
-  const char* name() const override { return "hash"; }
-
- private:
-  unsigned mod_;
-};
+using test_support::HashShedder;
 
 /// Types whose UT rows stay live in make_armed_espice's dead-row model.
 constexpr EventTypeId kLiveTypeA = 0;

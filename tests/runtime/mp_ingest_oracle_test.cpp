@@ -26,6 +26,7 @@
 #include "common/rng.hpp"
 #include "runtime/stream_engine.hpp"
 #include "sim/sharded_sim.hpp"
+#include "support/hash_shedder.hpp"
 #include "support/temp_dir.hpp"
 #include "support/test_seed.hpp"
 
@@ -51,24 +52,7 @@ std::vector<Event> random_stream(std::uint64_t seed, std::size_t n) {
   return events;
 }
 
-/// Deterministic, stateless shedder (pure hash of seq x position).
-class HashShedder final : public Shedder {
- public:
-  explicit HashShedder(unsigned mod) : mod_(mod) {}
-
-  bool should_drop(const Event& e, std::uint32_t position, double) override {
-    const bool drop =
-        mod_ != 0 &&
-        ((e.seq * 2654435761ULL) ^ (position * 40503ULL)) % mod_ != 0;
-    count_decision(drop);
-    return drop;
-  }
-  void on_command(const DropCommand&) override {}
-  const char* name() const override { return "hash"; }
-
- private:
-  unsigned mod_;
-};
+using test_support::HashShedder;
 
 StreamEngineConfig make_config(std::size_t shards, bool shed) {
   StreamEngineConfig config;

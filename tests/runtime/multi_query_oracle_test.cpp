@@ -20,6 +20,7 @@
 #include "core/espice_shedder.hpp"
 #include "runtime/stream_engine.hpp"
 #include "sim/sharded_sim.hpp"
+#include "support/hash_shedder.hpp"
 #include "support/test_seed.hpp"
 
 namespace espice {
@@ -46,29 +47,7 @@ std::vector<Event> random_stream(std::uint64_t seed, std::size_t n) {
   return events;
 }
 
-/// Deterministic, stateless shedder (pure hash of seq x position), so the
-/// shared engine and the independent serial golden decide identically no
-/// matter how work interleaves.  mod == 0 keeps everything.
-class HashShedder final : public Shedder {
- public:
-  HashShedder(unsigned mod, unsigned salt) : mod_(mod), salt_(salt) {}
-
-  bool should_drop(const Event& e, std::uint32_t position, double) override {
-    const bool drop =
-        mod_ != 0 && ((e.seq * 2654435761ULL) ^ (position * 40503ULL) ^
-                      (salt_ * 7919ULL)) %
-                             mod_ !=
-                         0;
-    count_decision(drop);
-    return drop;
-  }
-  void on_command(const DropCommand&) override {}
-  const char* name() const override { return "hash"; }
-
- private:
-  unsigned mod_;
-  unsigned salt_;
-};
+using test_support::HashShedder;
 
 /// A pre-armed eSPICE shedder over spec_from_pool(0)'s N = 24 whose model
 /// keeps live UT rows for types 0 and 3 only -- the shape train_model

@@ -19,6 +19,7 @@
 #include "runtime/shard_pipeline.hpp"
 #include "runtime/stream_engine.hpp"
 #include "sim/sharded_sim.hpp"
+#include "support/hash_shedder.hpp"
 #include "support/test_seed.hpp"
 
 namespace espice {
@@ -69,26 +70,7 @@ std::vector<Event> random_stream(std::uint64_t seed, std::size_t n) {
   return events;
 }
 
-/// Deterministic, stateless shedder: the drop decision is a pure hash of
-/// (event seq, window position), so serial and sharded runs agree no matter
-/// how work interleaves.  mod == 0 keeps everything.
-class HashShedder final : public Shedder {
- public:
-  explicit HashShedder(unsigned mod) : mod_(mod) {}
-
-  bool should_drop(const Event& e, std::uint32_t position, double) override {
-    const bool drop =
-        mod_ != 0 &&
-        ((e.seq * 2654435761ULL) ^ (position * 40503ULL)) % mod_ != 0;
-    count_decision(drop);
-    return drop;
-  }
-  void on_command(const DropCommand&) override {}
-  const char* name() const override { return "hash"; }
-
- private:
-  unsigned mod_;
-};
+using test_support::HashShedder;
 
 /// A pattern that produces matches in every substream: any rising event,
 /// then any falling event (types are irrelevant, so partitioning by type

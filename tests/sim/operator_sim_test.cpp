@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace espice {
@@ -52,7 +53,6 @@ class OddPositionShedder final : public Shedder {
 
 SimConfig base_sim(std::size_t span) {
   SimConfig config;
-  config.window = tumbling(span);
   config.cost.base_cost = 0.0;
   config.cost.per_window_cost = 1e-3;  // 1 ms per (event, window)
   config.detector.latency_bound = 1.0;
@@ -61,6 +61,23 @@ SimConfig base_sim(std::size_t span) {
   config.detector.tick_period = 0.01;
   config.detector.ewma_alpha = 1.0;
   return config;
+}
+
+// The single-event query over tumbling(span) windows; each simulate() run
+// sheds with a fresh `S` (NullShedder: decide, keep everything).
+template <typename S = NullShedder>
+EngineQuery sim_query(std::size_t span, bool armed = false) {
+  EngineQuery q;
+  q.query.pattern = make_sequence({element("a", TypeSet{0})});
+  q.query.window = tumbling(span);
+  q.shedder_factory = [armed](std::size_t) {
+    auto shedder = std::make_unique<S>();
+    DropCommand cmd;
+    cmd.active = armed;
+    shedder->on_command(cmd);
+    return shedder;
+  };
+  return q;
 }
 
 TEST(RunPipeline, GoldenPassSeesEveryWindowAndMatch) {
@@ -95,9 +112,8 @@ TEST(RunPipeline, ShedderThinsWindows) {
 TEST(OperatorSim, UnderloadLatencyEqualsProcessingCost) {
   // R = 100/s, cost = 1 ms/event -> operator idles between events.
   auto config = base_sim(1);
-  NullShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  const auto result = sim.run(uniform_stream(100), 100.0);
+  const EngineQuery query = sim_query(1);
+  const auto result = simulate(config, query, uniform_stream(100), 100.0);
   EXPECT_EQ(result.events, 100u);
   EXPECT_EQ(result.lb_violations, 0u);
   for (const auto& s : result.latencies) {
@@ -109,9 +125,8 @@ TEST(OperatorSim, QueueBuildsUpUnderOverloadWithoutShedding) {
   // R = 2000/s, capacity = 1000/s, no shedding: latency grows linearly.
   auto config = base_sim(1);
   config.detector.latency_bound = 1e9;  // never consider it violated
-  NullShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  const auto result = sim.run(uniform_stream(4000), 2000.0);
+  const EngineQuery query = sim_query(1);
+  const auto result = simulate(config, query, uniform_stream(4000), 2000.0);
   // Last event arrives at ~2 s but finishes at ~4 s.
   EXPECT_GT(result.max_latency, 1.5);
   EXPECT_GT(result.duration, 3.9);
@@ -121,17 +136,15 @@ TEST(OperatorSim, LatencyBoundViolationsAreCounted) {
   auto config = base_sim(1);
   config.detector.latency_bound = 0.5;
   config.detector.f = 0.99;  // effectively disable shedding activation space
-  NullShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  const auto result = sim.run(uniform_stream(4000), 2000.0);
+  const EngineQuery query = sim_query(1);
+  const auto result = simulate(config, query, uniform_stream(4000), 2000.0);
   EXPECT_GT(result.lb_violations, 0u);
 }
 
 TEST(OperatorSim, MembershipAccountingIsExact) {
   auto config = base_sim(4);
-  NullShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  const auto result = sim.run(uniform_stream(40), 100.0);
+  const EngineQuery query = sim_query(4);
+  const auto result = simulate(config, query, uniform_stream(40), 100.0);
   EXPECT_EQ(result.memberships, 40u);       // tumbling: 1 window per event
   EXPECT_EQ(result.memberships_kept, 40u);  // nothing dropped
   EXPECT_EQ(result.windows_closed, 10u);
@@ -139,32 +152,27 @@ TEST(OperatorSim, MembershipAccountingIsExact) {
 
 TEST(OperatorSim, SheddingReducesKeptMemberships) {
   auto config = base_sim(4);
-  OddPositionShedder shedder;
-  DropCommand cmd;
-  cmd.active = true;
-  shedder.on_command(cmd);  // pre-activated; detector commands keep it on/off
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
+  // Pre-activated; detector commands keep it on/off.
+  const EngineQuery query = sim_query<OddPositionShedder>(4, /*armed=*/true);
   // Overload so the detector keeps shedding active.
-  const auto result = sim.run(uniform_stream(4000), 2000.0);
+  const auto result = simulate(config, query, uniform_stream(4000), 2000.0);
   EXPECT_LT(result.memberships_kept, result.memberships);
 }
 
 TEST(OperatorSim, DetectorActivatesSheddingUnderOverload) {
   auto config = base_sim(2);  // span 2 so odd positions exist
-  OddPositionShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  const auto result = sim.run(uniform_stream(4000), 2000.0);
+  const EngineQuery query = sim_query<OddPositionShedder>(2);
+  const auto result = simulate(config, query, uniform_stream(4000), 2000.0);
   EXPECT_TRUE(result.shedding_ever_active);
-  EXPECT_GT(shedder.drops(), 0u);
+  EXPECT_GT(result.drops, 0u);
 }
 
 TEST(OperatorSim, SheddingKeepsLatencyUnderTheBound) {
   // 2x overload; the odd-position shedder halves the load, which is exactly
   // enough to keep up once active.
   auto config = base_sim(2);
-  OddPositionShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  const auto result = sim.run(uniform_stream(8000), 2000.0);
+  const EngineQuery query = sim_query<OddPositionShedder>(2);
+  const auto result = simulate(config, query, uniform_stream(8000), 2000.0);
   EXPECT_TRUE(result.shedding_ever_active);
   EXPECT_EQ(result.lb_violations, 0u);
   EXPECT_LE(result.max_latency, 1.0);
@@ -172,30 +180,26 @@ TEST(OperatorSim, SheddingKeepsLatencyUnderTheBound) {
 
 TEST(OperatorSim, EmptyStreamProducesEmptyResult) {
   auto config = base_sim(1);
-  NullShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  const auto result = sim.run({}, 100.0);
+  const EngineQuery query = sim_query(1);
+  const auto result = simulate(config, query, {}, 100.0);
   EXPECT_EQ(result.events, 0u);
   EXPECT_TRUE(result.matches.empty());
 }
 
 TEST(OperatorSim, MatchesCarryDetectionTimestamps) {
   auto config = base_sim(5);
-  NullShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  const auto result = sim.run(uniform_stream(10), 100.0);
+  const EngineQuery query = sim_query(5);
+  const auto result = simulate(config, query, uniform_stream(10), 100.0);
   ASSERT_EQ(result.matches.size(), 2u);
   EXPECT_GT(result.matches[1].detection_ts, result.matches[0].detection_ts);
 }
 
 TEST(OperatorSim, ResultsAreDeterministic) {
   auto config = base_sim(3);
-  NullShedder s1, s2;
-  OperatorSimulator sim1(config, single_event_matcher(), s1);
-  OperatorSimulator sim2(config, single_event_matcher(), s2);
+  const EngineQuery query = sim_query(3);
   const auto events = uniform_stream(300);
-  const auto r1 = sim1.run(events, 1500.0);
-  const auto r2 = sim2.run(events, 1500.0);
+  const auto r1 = simulate(config, query, events, 1500.0);
+  const auto r2 = simulate(config, query, events, 1500.0);
   EXPECT_EQ(r1.matches.size(), r2.matches.size());
   EXPECT_DOUBLE_EQ(r1.max_latency, r2.max_latency);
   EXPECT_DOUBLE_EQ(r1.duration, r2.duration);
@@ -205,10 +209,9 @@ TEST(OperatorSim, RatePhasesChangeArrivalTiming) {
   // 100 events at 100/s then 100 events at 1000/s: total arrival span is
   // 1.0 + 0.1 s; with 1 ms processing the run finishes shortly after.
   auto config = base_sim(1);
-  NullShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  const auto result =
-      sim.run(uniform_stream(200), {RatePhase{100, 100.0}, RatePhase{100, 1000.0}});
+  const EngineQuery query = sim_query(1);
+  const auto result = simulate(config, query, uniform_stream(200),
+                               {RatePhase{100, 100.0}, RatePhase{100, 1000.0}});
   EXPECT_EQ(result.events, 200u);
   EXPECT_GT(result.duration, 1.09);
   EXPECT_LT(result.duration, 1.2);
@@ -216,11 +219,11 @@ TEST(OperatorSim, RatePhasesChangeArrivalTiming) {
 
 TEST(OperatorSim, LastPhaseExtendsToStreamEnd) {
   auto config = base_sim(1);
-  NullShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
+  const EngineQuery query = sim_query(1);
   // Phase counts cover only 10 of 100 events; the rest arrive at the last
   // phase's rate.
-  const auto result = sim.run(uniform_stream(100), {RatePhase{10, 1000.0}});
+  const auto result =
+      simulate(config, query, uniform_stream(100), {RatePhase{10, 1000.0}});
   EXPECT_EQ(result.events, 100u);
   EXPECT_NEAR(result.duration, 0.1, 0.01);
 }
@@ -229,36 +232,36 @@ TEST(OperatorSim, BurstTriggersSheddingThenRecovers) {
   // Steady 80% load with a 2x burst in the middle: the detector must engage
   // during the burst and keep the latency bound.
   auto config = base_sim(2);
-  OddPositionShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  const auto result = sim.run(
-      uniform_stream(12000),
+  const EngineQuery query = sim_query<OddPositionShedder>(2);
+  const auto result = simulate(
+      config, query, uniform_stream(12000),
       {RatePhase{4000, 800.0}, RatePhase{4000, 2000.0}, RatePhase{4000, 800.0}});
   EXPECT_TRUE(result.shedding_ever_active);
   EXPECT_EQ(result.lb_violations, 0u);
   // The calm phases must not shed: drops stay well below half the
   // (event, window) pairs of the burst phase alone.
-  EXPECT_LT(shedder.drops(), 4000u);
+  EXPECT_LT(result.drops, 4000u);
 }
 
 TEST(OperatorSim, PhaselessAndSinglePhaseAgree) {
   auto config = base_sim(3);
-  NullShedder s1, s2;
-  OperatorSimulator sim1(config, single_event_matcher(), s1);
-  OperatorSimulator sim2(config, single_event_matcher(), s2);
+  const EngineQuery query = sim_query(3);
   const auto events = uniform_stream(500);
-  const auto r1 = sim1.run(events, 1234.0);
-  const auto r2 = sim2.run(events, {RatePhase{500, 1234.0}});
+  const auto r1 = simulate(config, query, events, 1234.0);
+  const auto r2 = simulate(config, query, events, {RatePhase{500, 1234.0}});
   EXPECT_DOUBLE_EQ(r1.duration, r2.duration);
   EXPECT_DOUBLE_EQ(r1.max_latency, r2.max_latency);
 }
 
 TEST(OperatorSim, RejectsEmptyOrInvalidPhases) {
   auto config = base_sim(1);
-  NullShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  EXPECT_THROW(sim.run(uniform_stream(5), std::vector<RatePhase>{}), ConfigError);
-  EXPECT_THROW(sim.run(uniform_stream(5), {RatePhase{5, 0.0}}), ConfigError);
+  const EngineQuery query = sim_query(1);
+  EXPECT_THROW(
+      simulate(config, query, uniform_stream(5), std::vector<RatePhase>{}),
+      ConfigError);
+  EXPECT_THROW(
+      simulate(config, query, uniform_stream(5), {RatePhase{5, 0.0}}),
+      ConfigError);
 }
 
 TEST(OperatorCostModel, FullCostIsAffineInWindows) {
@@ -271,9 +274,8 @@ TEST(OperatorCostModel, FullCostIsAffineInWindows) {
 
 TEST(OperatorSim, RejectsNonPositiveRate) {
   auto config = base_sim(1);
-  NullShedder shedder;
-  OperatorSimulator sim(config, single_event_matcher(), shedder);
-  EXPECT_THROW(sim.run(uniform_stream(5), 0.0), ConfigError);
+  const EngineQuery query = sim_query(1);
+  EXPECT_THROW(simulate(config, query, uniform_stream(5), 0.0), ConfigError);
 }
 
 }  // namespace
